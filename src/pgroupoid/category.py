@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-IDENTITY_PREFIX = "1@"
+from .model import IDENTITY_PREFIX
 
 
 class CategoryError(ValueError):

@@ -70,7 +70,10 @@ def cmd_validate(args):
 
 def cmd_embeddable(args):
     model = _load_model(args.file)
-    scan = words.mean_scan(model, args.max_len)
+    try:
+        scan = words.mean_scan(model, args.max_len)
+    except words.WordError as exc:
+        return _input_error("embeddable", exc)
     if scan.is_kind:
         report("embeddable", "kind-up-to-bound", bound=scan.bound)
         return EXIT_OK
@@ -150,9 +153,12 @@ def cmd_symmetrize(args):
 def cmd_na(args):
     try:
         tris = polygon.enumerate_triangulations(args.n)
-        t, t2 = tris[args.i], tris[args.j]
-        glued = polygon.build_glued(t, t2, variant=args.variant)
-    except (polygon.TriangulationError, polygon.GluingError, IndexError) as exc:
+        if not (0 <= args.i < len(tris) and 0 <= args.j < len(tris)):
+            return _input_error("na", f"triangulation indices must lie in "
+                                      f"0..{len(tris) - 1}")
+        glued = polygon.build_glued(tris[args.i], tris[args.j],
+                                    variant=args.variant)
+    except (polygon.TriangulationError, polygon.GluingError) as exc:
         return _input_error("na", exc)
     _write_model(glued.model, args.output)
     report("na", "ok",

@@ -25,6 +25,7 @@ every operation in this package is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 SYMMETRIC = "symmetric"
 SIMPLICIAL = "simplicial"
@@ -538,11 +539,13 @@ class Hom:
         return cls(tuple(sorted(vertex_map.items())),
                    tuple(sorted(edge_map.items())))
 
-    @property
+    # Built once per hom and shared, so callers must not mutate them;
+    # equality and hashing stay on the tuple fields.
+    @cached_property
     def vertices(self) -> dict[str, str]:
         return dict(self.vertex_map)
 
-    @property
+    @cached_property
     def edges(self) -> dict[str, str]:
         return dict(self.edge_map)
 

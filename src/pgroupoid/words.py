@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import SYMMETRIC, TruncatedModel, identity_name
+from .model import SYMMETRIC, Edge, TruncatedModel, identity_name
 
 
 class WordError(ValueError):
@@ -607,8 +607,6 @@ def _merge_parallel_edges(model, names):
         if partner_key not in assigned:
             assigned[partner_key] = model.inv(r)
     rename = {m: assigned[find(m)] for m in model.edges}
-
-    from .model import Edge  # local import to avoid a cycle at module load
 
     edges = []
     for members in sorted(classes.values()):

@@ -278,3 +278,12 @@ def test_acceptance_12_pregroup_axiom_example():
     assert rep.right == "y"
     assert pg.mean_scan(horn, 6).is_kind
     _finish(12, "pregroup axiom fails yet embeddable at bound", t0, budget=5.0)
+
+
+def test_acceptance_13_orthogonality_z3_nerve_at_hexagons():
+    t0 = time.perf_counter()
+    res = pg.orthogonality_check(pg.nerve_truncation(pg.cyclic_group(3)), 6)
+    assert res.ok and res.violator is None
+    assert res.pairs_checked == 806
+    assert res.homs_checked == 540810
+    _finish(13, "Z3 nerve orthogonal to every gluing up to the 7-gon", t0, budget=60.0)

@@ -152,6 +152,16 @@ def test_cli_embeddable_na_square(capsys):
     assert rec["bound"] == 3
 
 
+def test_cli_embeddable_bound_below_range_is_input_error(capsys):
+    code, out = run_cli(capsys, "embeddable", _fx("na_square.pgd"),
+                        "--max-len", "1")
+    assert code == 2
+    assert len(out.strip().splitlines()) == 1
+    rec = json.loads(out)
+    assert rec["command"] == "embeddable"
+    assert rec["verdict"] == "input-error"
+
+
 def test_cli_embeddable_kind(capsys):
     code, out = run_cli(capsys, "embeddable", _fx("example2.pgd"),
                         "--max-len", "8")
@@ -226,6 +236,16 @@ def test_cli_na_and_pairs(tmp_path, capsys):
     assert classes.count("compatible") == 4
     assert classes.count("well_behaved") == 10
     assert all(r["degree"] == 3 for r in rows if "degree" in r)
+
+
+def test_cli_na_rejects_out_of_range_indices(tmp_path, capsys):
+    out_path = tmp_path / "na.pgd"
+    for i, j in (("-1", "0"), ("0", "-1"), ("2", "0"), ("0", "5")):
+        code, out = run_cli(capsys, "na", "3", i, j, "-o", str(out_path))
+        assert code == 2
+        rec = json.loads(out)
+        assert (rec["command"], rec["verdict"]) == ("na", "input-error")
+    assert not out_path.exists()
 
 
 def test_cli_orthogonal(capsys):

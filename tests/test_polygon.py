@@ -330,3 +330,66 @@ def test_bounded_meanness_matches_orthogonality():
     na = pg.fixtures.load_model("na_square.pgd")
     assert not pg.mean_scan(na, 3).is_kind
     assert not pg.orthogonality_check(na, 3).ok
+
+
+# -- spine-word search against the generic hom search ---------------------------------
+
+
+def _reference_orthogonality(target, max_n):
+    """Glue every pair and run ``iter_homs``; stop after the first pair
+    with a splitting hom, returning all of that pair's splitting homs."""
+    pairs = homs = 0
+    for n in range(3, max_n + 1):
+        tris = pg.enumerate_triangulations(n)
+        for t in tris:
+            for t2 in tris:
+                if pg.pair_classify(t, t2) != pg.WELL_BEHAVED:
+                    continue
+                pairs += 1
+                glued = pg.build_glued(t, t2)
+                splitting = []
+                for hom in pg.iter_homs(glued.model, target):
+                    homs += 1
+                    if hom.edge(glued.long_t) != hom.edge(glued.long_t2):
+                        splitting.append(hom)
+                if splitting:
+                    return False, pairs, homs, (t, t2, glued, splitting)
+    return True, pairs, homs, None
+
+
+def _equivalence_targets():
+    yield "Z2 nerve", pg.nerve_truncation(pg.cyclic_group(2))
+    yield "Z3 nerve", pg.nerve_truncation(pg.cyclic_group(3))
+    yield "pair(2) nerve", pg.nerve_truncation(pg.pair_groupoid(["a", "b"]))
+    yield "a_square", pg.fixtures.load_model("a_square.pgd")
+    yield "free_one_generator", pg.fixtures.load_model("free_one_generator.pgd")
+    for n in (3, 4):
+        tris = pg.enumerate_triangulations(n)
+        for i, t in enumerate(tris):
+            for j, t2 in enumerate(tris):
+                if pg.pair_classify(t, t2) == pg.WELL_BEHAVED:
+                    yield f"NA({n}; {i}, {j})", pg.build_glued(t, t2).model
+
+
+def test_spine_word_search_matches_generic_hom_search():
+    mean_seen = 0
+    for label, target in _equivalence_targets():
+        for max_gon in (3, 4):
+            res = pg.orthogonality_check(target, max_gon)
+            ok, pairs, homs, first = _reference_orthogonality(target, max_gon)
+            where = f"{label} @ {max_gon}"
+            assert (res.ok, res.pairs_checked, res.homs_checked) == (ok, pairs, homs), where
+            if ok:
+                assert res.violator is None, where
+                continue
+            mean_seen += 1
+            t, t2, glued, splitting = first
+            vt, vt2, hom = res.violator
+            assert (vt, vt2) == (t, t2), where
+            assert pg.verify_hom(glued.model, target, hom), where
+            assert hom.edge(glued.long_t) != hom.edge(glued.long_t2), where
+            # the reported hom is the one of the least splitting spine word
+            assert hom in splitting, where
+            assert min(splitting, key=lambda h: pg.words.word_sort_key(
+                tuple(h.edge(s) for s in glued.spine))) == hom, where
+    assert mean_seen >= 4
