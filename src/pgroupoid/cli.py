@@ -30,18 +30,18 @@ def report(command, verdict, **extra):
     print(json.dumps(record))
 
 
-def _load_model(path, check=True):
+def _load_model(args, check=True):
     try:
-        return formats.load_pgd(path, check=check)
+        return formats.load_pgd(args.file, check=check)
     except (OSError, formats.FormatError, ModelError) as exc:
-        raise SystemExit(_input_error("load", exc))
+        raise SystemExit(_input_error(args.command, exc))
 
 
-def _load_cat(path):
+def _load_cat(args):
     try:
-        return formats.load_cat(path)
+        return formats.load_cat(args.catfile)
     except (OSError, formats.FormatError, CategoryError) as exc:
-        raise SystemExit(_input_error("load", exc))
+        raise SystemExit(_input_error(args.command, exc))
 
 
 def _input_error(command, exc):
@@ -49,15 +49,18 @@ def _input_error(command, exc):
     return EXIT_INPUT
 
 
-def _write_model(model, path):
-    formats.save_pgd(model, path)
+def _write_model(model, args):
+    try:
+        formats.save_pgd(model, args.output)
+    except OSError as exc:
+        raise SystemExit(_input_error(args.command, exc))
 
 
 # -- subcommand handlers --------------------------------------------------------
 
 
 def cmd_validate(args):
-    model = _load_model(args.file, check=False)
+    model = _load_model(args, check=False)
     rep = model.validate()
     if rep.ok:
         report("validate", "pass", counts=model.counts())
@@ -69,7 +72,7 @@ def cmd_validate(args):
 
 
 def cmd_embeddable(args):
-    model = _load_model(args.file)
+    model = _load_model(args)
     try:
         scan = words.mean_scan(model, args.max_len)
     except words.WordError as exc:
@@ -85,7 +88,7 @@ def cmd_embeddable(args):
 
 
 def cmd_mountain(args):
-    model = _load_model(args.file)
+    model = _load_model(args)
     try:
         word = words.mountain(model, args.f, args.g, args.max_len)
     except (words.WordError, ModelError) as exc:
@@ -101,7 +104,7 @@ def cmd_mountain(args):
 
 
 def cmd_tau(args):
-    model = _load_model(args.file)
+    model = _load_model(args)
     try:
         pres = words.tau_presentation(model)
     except words.WordError as exc:
@@ -113,12 +116,12 @@ def cmd_tau(args):
 
 
 def cmd_reflect(args):
-    model = _load_model(args.file)
+    model = _load_model(args)
     try:
         result = words.reflect_bounded(model, args.max_len)
     except words.WordError as exc:
         return _input_error("reflect", exc)
-    _write_model(result.model, args.output)
+    _write_model(result.model, args)
     report("reflect", "embeddable-up-to-bound",
            counts={"identified": len(result.identified),
                    "rounds": result.rounds},
@@ -128,15 +131,18 @@ def cmd_reflect(args):
 
 
 def cmd_reduce(args):
-    model = _load_model(args.file)
-    reduced = monoid.reduce_model(model)
-    _write_model(reduced, args.output)
+    model = _load_model(args)
+    try:
+        reduced = monoid.reduce_model(model)
+    except ModelError as exc:
+        return _input_error("reduce", exc)
+    _write_model(reduced, args)
     report("reduce", "ok", counts=reduced.counts(), output=args.output)
     return EXIT_OK
 
 
 def cmd_symmetrize(args):
-    model = _load_model(args.file)
+    model = _load_model(args)
     try:
         result = symmetrize(model)
     except SpininessError as exc:
@@ -145,7 +151,7 @@ def cmd_symmetrize(args):
         return EXIT_FAIL
     except ModelError as exc:
         return _input_error("symmetrize", exc)
-    _write_model(result, args.output)
+    _write_model(result, args)
     report("symmetrize", "ok", counts=result.counts(), output=args.output)
     return EXIT_OK
 
@@ -160,7 +166,7 @@ def cmd_na(args):
                                     variant=args.variant)
     except (polygon.TriangulationError, polygon.GluingError) as exc:
         return _input_error("na", exc)
-    _write_model(glued.model, args.output)
+    _write_model(glued.model, args)
     report("na", "ok",
            counts=glued.model.counts(),
            detail={"variant": args.variant,
@@ -193,7 +199,7 @@ def cmd_pairs(args):
 
 
 def cmd_orthogonal(args):
-    model = _load_model(args.file)
+    model = _load_model(args)
     try:
         result = polygon.orthogonality_check(model, args.max_gon)
     except ModelError as exc:
@@ -213,7 +219,7 @@ def cmd_orthogonal(args):
 
 
 def cmd_degree(args):
-    model = _load_model(args.file)
+    model = _load_model(args)
     try:
         value, witness = _degree.degree_model(model)
     except _degree.DegreeError as exc:
@@ -226,7 +232,7 @@ def cmd_degree(args):
 
 
 def cmd_monoid(args):
-    cat = _load_cat(args.catfile)
+    cat = _load_cat(args)
     try:
         x = monoid.NormalForm.of(cat, formats.parse_string_arg(args.mult[0]))
         y = monoid.NormalForm.of(cat, formats.parse_string_arg(args.mult[1]))
@@ -238,7 +244,7 @@ def cmd_monoid(args):
 
 
 def cmd_pregroup(args):
-    model = _load_model(args.file)
+    model = _load_model(args)
     result = words.pregroup_axiom_check(model)
     if result.ok:
         report("pregroup", "pass")

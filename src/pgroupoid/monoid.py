@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .category import FiniteCategory, CategoryError
-from .model import Edge, SYMMETRIC, TruncatedModel, identity_name
+from .model import Edge, ModelError, SYMMETRIC, TruncatedModel, identity_name
 
 
 class RewriteError(ValueError):
@@ -32,6 +32,8 @@ def reduce_model(model: TruncatedModel) -> TruncatedModel:
     Spininess is preserved because no nonidentity edges are merged, and
     the stored triangles are carried over verbatim.
     """
+    if not model.objects:
+        raise ModelError("reduction needs a model with at least one object")
     base = model.objects[0]
     ident = identity_name(base)
     edges = [Edge(ident, base, base,

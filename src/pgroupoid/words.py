@@ -16,9 +16,10 @@ lexicographically.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product, starmap
+from operator import or_
 
 from .model import SYMMETRIC, Edge, TruncatedModel, identity_name
 
@@ -161,52 +162,56 @@ class ValueTable:
     productive splits of lower layers.  Once a dyadic window of layers is
     empty every later layer is empty too, which lets bounded scans finish
     early on models whose composable chains are short.
+
+    Letters are the nonidentity edges (an identity letter never changes a
+    value set).  A word is packed into one int, ``bits`` bits per letter
+    index with the first letter highest, and a layer is kept only as its
+    value index ``by_value[L]``: value -> set of packed words.  A word with
+    several values sits in several sets.
     """
 
-    def __init__(self, model: TruncatedModel, allow_identities: bool = False):
+    def __init__(self, model: TruncatedModel):
         self.model = model
-        if allow_identities:
-            letters = tuple(sorted(model.edges))
-        else:
-            letters = model.nonidentity_edges()
-        first = {(e,): frozenset((e,)) for e in letters}
-        self._layers: list[dict] = [{}, first]
-        self._by_value = [None, self._index(first)]
+        self.letters = model.nonidentity_edges()
+        self.bits = max(1, (len(self.letters) - 1).bit_length())
+        self.by_value = [{}, {e: {i} for i, e in enumerate(self.letters)}]
         self._exhausted = False
 
-    @staticmethod
-    def _index(layer):
-        idx = {}
-        for w in sorted(layer):
-            for v in layer[w]:
-                idx.setdefault(v, []).append(w)
-        return {v: tuple(ws) for v, ws in idx.items()}
-
-    def layer(self, length: int) -> dict[tuple[str, ...], frozenset[str]]:
-        while len(self._layers) <= length:
+    def layer(self, length: int) -> set[int]:
+        """The packed valued words of one length, building lower layers first."""
+        while len(self.by_value) <= length:
             self._build_next()
-        return self._layers[length]
+        return set().union(*self.by_value[length].values())
+
+    def decode(self, word: int, length: int) -> tuple[str, ...]:
+        mask = (1 << self.bits) - 1
+        return tuple(self.letters[(word >> self.bits * i) & mask]
+                     for i in reversed(range(length)))
 
     def _build_next(self):
-        size = len(self._layers)
-        if self._exhausted:
-            self._layers.append({})
-            self._by_value.append({})
-            return
-        acc: dict[tuple, set] = {}
+        """Layer L: for each split k and product v1·v2 = h, every word of
+        length k and value v1 followed by one of length L-k and value v2
+        has value h.  After exhaustion every split meets an empty layer."""
+        size = len(self.by_value)
+        acc: dict[str, set[int]] = {}
         for k in range(1, size):
-            lower = self._layers[k]
-            complement = self._by_value[size - k]
-            for w1, vals in lower.items():
-                for v1 in vals:
-                    for v2, h in self.model.products_from(v1).items():
-                        for w2 in complement.get(v2, ()):
-                            acc.setdefault(w1 + w2, set()).add(h)
-        layer = {w: frozenset(vs) for w, vs in acc.items()}
-        self._layers.append(layer)
-        self._by_value.append(self._index(layer))
+            right = self.by_value[size - k]
+            shift = self.bits * (size - k)
+            for v1, left in self.by_value[k].items():
+                shifted = None
+                for v2, h in self.model.products_from(v1).items():
+                    words = right.get(v2)
+                    if words is None:
+                        continue
+                    if shifted is None:
+                        shifted = [w << shift for w in left]
+                    target = acc.get(h)
+                    if target is None:
+                        target = acc[h] = set()
+                    target.update(starmap(or_, product(shifted, words)))
+        self.by_value.append(acc)
         window = range((size + 1) // 2, size + 1)
-        if all(not self._layers[j] for j in window):
+        if all(not self.by_value[j] for j in window):
             self._exhausted = True
 
     def exhausted_at(self, length: int) -> bool:
@@ -216,6 +221,33 @@ class ValueTable:
         layers is empty then every longer word lacks a productive split.
         """
         return self._exhausted
+
+
+def _picked_words(table: ValueTable, max_len: int, pick):
+    """Scan the layers 2..max_len of ``table`` for the words ``pick`` wants.
+
+    ``pick(index, layer)`` gets one layer's value index and its packed
+    words and returns the packed words it wants.  For each layer where it
+    returns some, yield the index and the (word, packed word) pairs in
+    canonical order.  Each layer is built and fetched exactly once.
+    """
+    for length in range(2, max_len + 1):
+        layer = table.layer(length)
+        index = table.by_value[length]
+        picked = pick(index, layer)
+        if picked:
+            pairs = [(table.decode(w, length), w) for w in picked]
+            yield index, sorted(pairs, key=lambda pair: word_sort_key(pair[0]))
+        if table.exhausted_at(length):
+            return
+
+
+def _mean_words(index, layer):
+    """The words lying in two or more value sets of one layer."""
+    if sum(map(len, index.values())) == len(layer):
+        return ()
+    counts = Counter(chain.from_iterable(index.values()))
+    return [w for w, n in counts.items() if n > 1]
 
 
 # -- mean/kind scan ------------------------------------------------------------
@@ -244,31 +276,24 @@ class MeanScanResult:
 
 
 def mean_scan(model: TruncatedModel, max_len: int, *,
-              allow_identities: bool = False,
               collect_all: bool = False) -> MeanScanResult:
     """Search composable words of length 2..max_len for a mean word."""
     if max_len < 2:
         raise WordError("mean scan needs max_len >= 2")
-    table = ValueTable(model, allow_identities)
     result = MeanScanResult(bound=max_len)
     sad: set[str] = set()
-    for length in range(2, max_len + 1):
-        layer = table.layer(length)
-        for w in sorted(layer, key=word_sort_key):
-            vals = layer[w]
-            if len(vals) < 2:
-                continue
-            if result.witness is None:
-                result.witness = w
-                result.witness_values = tuple(sorted(vals))
-                assert tuple(sorted(values(model, w))) == result.witness_values
-            result.mean_word_count += 1
-            sad.update(vals)
-            if not collect_all:
-                break
-        if result.witness is not None and not collect_all:
-            break
-        if table.exhausted_at(length):
+    for index, picked in _picked_words(ValueTable(model), max_len, _mean_words):
+        if result.witness is None:
+            word, packed = picked[0]
+            result.witness = word
+            result.witness_values = tuple(sorted(
+                v for v, ws in index.items() if packed in ws))
+            if tuple(sorted(values(model, word))) != result.witness_values:
+                raise AssertionError(f"mean witness {word} fails its values re-check")
+        found = {packed for _, packed in (picked if collect_all else picked[:1])}
+        result.mean_word_count += len(found)
+        sad.update(v for v, ws in index.items() if not ws.isdisjoint(found))
+        if not collect_all:
             break
     result.sad_edges = tuple(sorted(sad))
     return result
@@ -406,8 +431,8 @@ def find_zigzag(model: TruncatedModel, f: str, g: str, peak_cap: int,
     return Zigzag(tuple(entries))
 
 
-def mountain(model: TruncatedModel, f: str, g: str, max_len: int, *,
-             allow_identities: bool = False) -> tuple[str, ...] | None:
+def mountain(model: TruncatedModel, f: str, g: str,
+             max_len: int) -> tuple[str, ...] | None:
     """A word of length <= max_len with both f and g among its values.
 
     For f = g the degenerate word (id, f) does the job.  In symmetric mode
@@ -428,15 +453,15 @@ def mountain(model: TruncatedModel, f: str, g: str, max_len: int, *,
             word = mountain_from_zigzag(model, zz)
             if len(word) <= max_len:
                 return word
-    table = ValueTable(model, allow_identities)
-    target = {f, g}
-    for length in range(2, max_len + 1):
-        layer = table.layer(length)
-        for w in sorted(layer, key=word_sort_key):
-            if target <= layer[w]:
-                return w
-        if table.exhausted_at(length):
-            break
+
+    def both(index, layer):
+        return index.get(f, set()) & index.get(g, set())
+
+    for _, picked in _picked_words(ValueTable(model), max_len, both):
+        word = picked[0][0]
+        if not {f, g} <= values(model, word):
+            raise AssertionError(f"mountain {word} fails its values re-check")
+        return word
     return None
 
 

@@ -287,3 +287,24 @@ def test_acceptance_13_orthogonality_z3_nerve_at_hexagons():
     assert res.pairs_checked == 806
     assert res.homs_checked == 540810
     _finish(13, "Z3 nerve orthogonal to every gluing up to the 7-gon", t0, budget=60.0)
+
+
+def test_acceptance_14_a_square_kind_at_length_ten(monkeypatch):
+    from pgroupoid.words import ValueTable
+
+    sizes = {}
+    build = ValueTable.layer
+
+    def recording_layer(table, length):
+        out = build(table, length)
+        sizes[length] = len(out)
+        return out
+
+    monkeypatch.setattr(ValueTable, "layer", recording_layer)
+    a_square = load("a_square.pgd")
+    sizes[1] = len(ValueTable(a_square).layer(1))
+    t0 = time.perf_counter()
+    assert pg.mean_scan(a_square, 10).is_kind
+    assert sizes == {L: 12 * 3 ** (L - 1) for L in range(1, 11)}
+    _finish(14, "a_square kind up to length 10, 12*3^(L-1) valued words per layer",
+            t0, budget=10.0)

@@ -248,6 +248,42 @@ def test_cli_na_rejects_out_of_range_indices(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_cli_reduce_of_a_model_without_objects_is_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty.pgd"
+    empty.write_text("pgd 1\nmode symmetric\n")
+    out_path = tmp_path / "out.pgd"
+    code, out = run_cli(capsys, "reduce", str(empty), "-o", str(out_path))
+    assert code == 2
+    rec = json.loads(out)
+    assert (rec["command"], rec["verdict"]) == ("reduce", "input-error")
+    assert not out_path.exists()
+
+
+def test_cli_output_into_a_missing_directory_is_input_error(tmp_path, capsys):
+    target = str(tmp_path / "nodir" / "x.pgd")
+    calls = (("na", "3", "0", "1"),
+             ("reflect", _fx("na_square.pgd"), "--max-len", "3"),
+             ("reduce", _fx("na_square.pgd")),
+             ("symmetrize", _fx("example1.pgd")))
+    for argv in calls:
+        code, out = run_cli(capsys, *argv, "-o", target)
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert (rec["command"], rec["verdict"]) == (argv[0], "input-error")
+
+
+def test_cli_load_errors_name_the_subcommand(tmp_path, capsys):
+    for argv in (("validate", "missing.pgd"),
+                 ("embeddable", "missing.pgd"),
+                 ("monoid", "missing.cat", "--mult", "a", "b")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        rec = json.loads(out)
+        assert (rec["command"], rec["verdict"]) == (argv[0], "input-error")
+
+
 def test_cli_orthogonal(capsys):
     code, out = run_cli(capsys, "orthogonal", _fx("na_square.pgd"),
                         "--max-gon", "3")

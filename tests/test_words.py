@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgroupoid as pg
+from pgroupoid.words import ValueTable, word_sort_key
 
 from helpers import (
     all_composable_words,
@@ -119,15 +120,94 @@ def test_mean_scan_rejects_tiny_bound():
         pg.mean_scan(load("na_square.pgd"), 1)
 
 
-def test_mean_scan_identity_letters_change_nothing_essential():
-    # identity letters never change values, only pad mean words
-    na = load("na_square.pgd")
-    padded = pg.mean_scan(na, 3, allow_identities=True)
-    assert padded.witness == ("s1", "s2", "s3")
-    with_ids = pg.mean_scan(na, 4, allow_identities=True, collect_all=True)
-    without = pg.mean_scan(na, 4, collect_all=True)
-    assert with_ids.mean_word_count > without.mean_word_count
-    assert set(without.sad_edges) <= set(with_ids.sad_edges)
+def _brute_layers(model, max_len):
+    """Per length: word -> brute-force values, for every valued word."""
+    memo = {}
+    layers = {L: {} for L in range(1, max_len + 1)}
+    for word in all_composable_words(model, max_len):
+        vals = brute_values(model, word, memo)
+        if vals:
+            layers[len(word)][word] = vals
+    return layers
+
+
+EQUIVALENCE_MODELS = (
+    ("na_square", lambda: load("na_square.pgd")),
+    ("na_pentagon", lambda: load("na_pentagon.pgd")),
+    ("example1", lambda: load("example1.pgd")),
+    ("example2", lambda: load("example2.pgd")),
+    ("horn_symmetric", horn_symmetric),
+)
+
+
+@pytest.mark.parametrize("name, make", EQUIVALENCE_MODELS)
+def test_value_table_layers_match_brute_force(name, make):
+    model = make()
+    brute = _brute_layers(model, 6)
+    table = ValueTable(model)
+    for length in range(1, 7):
+        layer = table.layer(length)
+        assert len(layer) == len(brute[length])
+        assert {table.decode(w, length) for w in layer} == set(brute[length])
+        by_value = {}
+        for word, vals in brute[length].items():
+            for v in vals:
+                by_value.setdefault(v, set()).add(word)
+        got = {v: {table.decode(w, length) for w in ws}
+               for v, ws in table.by_value[length].items()}
+        assert got == by_value
+
+
+def test_value_table_example1_sizes_and_exhaustion():
+    table = ValueTable(load("example1.pgd"))
+    sizes, exhausted = [], []
+    for length in range(1, 8):
+        sizes.append(len(table.layer(length)))
+        exhausted.append(table.exhausted_at(length))
+    assert sizes == [13, 8, 2, 0, 0, 0, 0]
+    # layers 4..7 form the first empty dyadic window
+    assert exhausted == [False] * 6 + [True]
+
+
+@pytest.mark.parametrize("name, make", EQUIVALENCE_MODELS)
+def test_mean_scan_matches_brute_force(name, make):
+    model = make()
+    brute = _brute_layers(model, 6)
+    for bound in range(2, 7):
+        mean = {L: sorted((w for w, vals in brute[L].items() if len(vals) >= 2),
+                          key=word_sort_key) for L in range(2, bound + 1)}
+        first = [words for words in mean.values() if words]
+        scan = pg.mean_scan(model, bound)
+        full = pg.mean_scan(model, bound, collect_all=True)
+        if not first:
+            assert scan.is_kind and full.is_kind
+            assert scan.mean_word_count == full.mean_word_count == 0
+            assert scan.sad_edges == full.sad_edges == ()
+            continue
+        witness = first[0][0]
+        witness_values = tuple(sorted(brute[len(witness)][witness]))
+        for result in (scan, full):
+            assert result.witness == witness
+            assert result.witness_values == witness_values
+        assert scan.mean_word_count == 1
+        assert scan.sad_edges == witness_values
+        assert full.mean_word_count == sum(map(len, mean.values()))
+        assert full.sad_edges == tuple(sorted(set().union(
+            *(brute[L][w] for L, words in mean.items() for w in words))))
+
+
+def test_mean_scan_rechecks_its_witness(monkeypatch):
+    monkeypatch.setattr(pg.words, "values", lambda model, word: frozenset({"lT"}))
+    with pytest.raises(AssertionError):
+        pg.mean_scan(load("na_square.pgd"), 3)
+
+
+def test_mountain_rechecks_its_table_witness(monkeypatch):
+    ms = example1_symmetric()
+    monkeypatch.setattr(pg.words, "values", lambda model, word: frozenset({"f"}))
+    monkeypatch.setattr(pg.words, "find_zigzag", lambda *args, **kwargs: None)
+    with pytest.raises(AssertionError):
+        pg.mountain(ms, "f", "g", 6)
 
 
 # -- mountains ---------------------------------------------------------------------
