@@ -14,8 +14,7 @@ import sys
 
 from . import degree as _degree
 from . import formats, monoid, polygon, words
-from .category import CategoryError
-from .model import ModelError, SpininessError, symmetrize
+from .model import SpininessError, symmetrize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -30,37 +29,11 @@ def report(command, verdict, **extra):
     print(json.dumps(record))
 
 
-def _load_model(args, check=True):
-    try:
-        return formats.load_pgd(args.file, check=check)
-    except (OSError, formats.FormatError, ModelError) as exc:
-        raise SystemExit(_input_error(args.command, exc))
-
-
-def _load_cat(args):
-    try:
-        return formats.load_cat(args.catfile)
-    except (OSError, formats.FormatError, CategoryError) as exc:
-        raise SystemExit(_input_error(args.command, exc))
-
-
-def _input_error(command, exc):
-    report(command, "input-error", detail=str(exc))
-    return EXIT_INPUT
-
-
-def _write_model(model, args):
-    try:
-        formats.save_pgd(model, args.output)
-    except OSError as exc:
-        raise SystemExit(_input_error(args.command, exc))
-
-
 # -- subcommand handlers --------------------------------------------------------
 
 
 def cmd_validate(args):
-    model = _load_model(args, check=False)
+    model = formats.load_pgd(args.file, check=False)
     rep = model.validate()
     if rep.ok:
         report("validate", "pass", counts=model.counts())
@@ -72,11 +45,8 @@ def cmd_validate(args):
 
 
 def cmd_embeddable(args):
-    model = _load_model(args)
-    try:
-        scan = words.mean_scan(model, args.max_len)
-    except words.WordError as exc:
-        return _input_error("embeddable", exc)
+    model = formats.load_pgd(args.file)
+    scan = words.mean_scan(model, args.max_len)
     if scan.is_kind:
         report("embeddable", "kind-up-to-bound", bound=scan.bound)
         return EXIT_OK
@@ -88,11 +58,8 @@ def cmd_embeddable(args):
 
 
 def cmd_mountain(args):
-    model = _load_model(args)
-    try:
-        word = words.mountain(model, args.f, args.g, args.max_len)
-    except (words.WordError, ModelError) as exc:
-        return _input_error("mountain", exc)
+    model = formats.load_pgd(args.file)
+    word = words.mountain(model, args.f, args.g, args.max_len)
     if word is None:
         report("mountain", "absent", bound=args.max_len)
         return EXIT_FAIL
@@ -104,11 +71,7 @@ def cmd_mountain(args):
 
 
 def cmd_tau(args):
-    model = _load_model(args)
-    try:
-        pres = words.tau_presentation(model)
-    except words.WordError as exc:
-        return _input_error("tau", exc)
+    pres = words.tau_presentation(formats.load_pgd(args.file))
     print("generators: " + " ".join(pres.generators))
     for rel in pres.relations:
         print("relation: " + " ".join(rel))
@@ -116,12 +79,8 @@ def cmd_tau(args):
 
 
 def cmd_reflect(args):
-    model = _load_model(args)
-    try:
-        result = words.reflect_bounded(model, args.max_len)
-    except words.WordError as exc:
-        return _input_error("reflect", exc)
-    _write_model(result.model, args)
+    result = words.reflect_bounded(formats.load_pgd(args.file), args.max_len)
+    formats.save_pgd(result.model, args.output)
     report("reflect", "embeddable-up-to-bound",
            counts={"identified": len(result.identified),
                    "rounds": result.rounds},
@@ -131,42 +90,32 @@ def cmd_reflect(args):
 
 
 def cmd_reduce(args):
-    model = _load_model(args)
-    try:
-        reduced = monoid.reduce_model(model)
-    except ModelError as exc:
-        return _input_error("reduce", exc)
-    _write_model(reduced, args)
+    reduced = monoid.reduce_model(formats.load_pgd(args.file))
+    formats.save_pgd(reduced, args.output)
     report("reduce", "ok", counts=reduced.counts(), output=args.output)
     return EXIT_OK
 
 
 def cmd_symmetrize(args):
-    model = _load_model(args)
+    model = formats.load_pgd(args.file)
     try:
         result = symmetrize(model)
     except SpininessError as exc:
         report("symmetrize", "fail",
                witness=[str(v) for v in exc.report.violations])
         return EXIT_FAIL
-    except ModelError as exc:
-        return _input_error("symmetrize", exc)
-    _write_model(result, args)
+    formats.save_pgd(result, args.output)
     report("symmetrize", "ok", counts=result.counts(), output=args.output)
     return EXIT_OK
 
 
 def cmd_na(args):
-    try:
-        tris = polygon.enumerate_triangulations(args.n)
-        if not (0 <= args.i < len(tris) and 0 <= args.j < len(tris)):
-            return _input_error("na", f"triangulation indices must lie in "
-                                      f"0..{len(tris) - 1}")
-        glued = polygon.build_glued(tris[args.i], tris[args.j],
-                                    variant=args.variant)
-    except (polygon.TriangulationError, polygon.GluingError) as exc:
-        return _input_error("na", exc)
-    _write_model(glued.model, args)
+    tris = polygon.enumerate_triangulations(args.n)
+    if not (0 <= args.i < len(tris) and 0 <= args.j < len(tris)):
+        raise polygon.TriangulationError(
+            f"triangulation indices must lie in 0..{len(tris) - 1}")
+    glued = polygon.build_glued(tris[args.i], tris[args.j], variant=args.variant)
+    formats.save_pgd(glued.model, args.output)
     report("na", "ok",
            counts=glued.model.counts(),
            detail={"variant": args.variant,
@@ -176,10 +125,7 @@ def cmd_na(args):
 
 
 def cmd_pairs(args):
-    try:
-        tris = polygon.enumerate_triangulations(args.n)
-    except polygon.TriangulationError as exc:
-        return _input_error("pairs", exc)
+    tris = polygon.enumerate_triangulations(args.n)
     for i, t in enumerate(tris):
         for j, t2 in enumerate(tris):
             cls = polygon.pair_classify(t, t2)
@@ -199,11 +145,7 @@ def cmd_pairs(args):
 
 
 def cmd_orthogonal(args):
-    model = _load_model(args)
-    try:
-        result = polygon.orthogonality_check(model, args.max_gon)
-    except ModelError as exc:
-        return _input_error("orthogonal", exc)
+    result = polygon.orthogonality_check(formats.load_pgd(args.file), args.max_gon)
     if result.ok:
         report("orthogonal", "pass",
                counts={"pairs": result.pairs_checked,
@@ -219,11 +161,7 @@ def cmd_orthogonal(args):
 
 
 def cmd_degree(args):
-    model = _load_model(args)
-    try:
-        value, witness = _degree.degree_model(model)
-    except _degree.DegreeError as exc:
-        return _input_error("degree", exc)
+    value, witness = _degree.degree_model(formats.load_pgd(args.file))
     detail = None
     if witness is not None:
         detail = {"source": witness.source, "legs": list(witness.legs)}
@@ -232,20 +170,15 @@ def cmd_degree(args):
 
 
 def cmd_monoid(args):
-    cat = _load_cat(args)
-    try:
-        x = monoid.NormalForm.of(cat, formats.parse_string_arg(args.mult[0]))
-        y = monoid.NormalForm.of(cat, formats.parse_string_arg(args.mult[1]))
-        product = monoid.monoid_mult(cat, x, y)
-    except (CategoryError, monoid.RewriteError, formats.FormatError) as exc:
-        return _input_error("monoid", exc)
-    report("monoid", "ok", witness=str(product))
+    cat = formats.load_cat(args.catfile)
+    x = monoid.NormalForm.of(cat, formats.parse_string_arg(args.mult[0]))
+    y = monoid.NormalForm.of(cat, formats.parse_string_arg(args.mult[1]))
+    report("monoid", "ok", witness=str(monoid.monoid_mult(cat, x, y)))
     return EXIT_OK
 
 
 def cmd_pregroup(args):
-    model = _load_model(args)
-    result = words.pregroup_axiom_check(model)
+    result = words.pregroup_axiom_check(formats.load_pgd(args.file))
     if result.ok:
         report("pregroup", "pass")
         return EXIT_OK
@@ -332,13 +265,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_INPUT
+    except (ValueError, OSError) as exc:
+        # every library error class subclasses ValueError, and so does
+        # UnicodeDecodeError from reading a file that is not UTF-8
+        report(args.command, "input-error", detail=str(exc))
+        return EXIT_INPUT
 
 
 def entry():  # console script

@@ -45,18 +45,11 @@ def _member_pairs(model):
     A stored triangle with spine (f, g) and long edge h contributes
     (f, h); degenerate triangles contribute (id, e), (e, e), (e, id).
     """
-    if model._starry_pairs is None:
-        pairs = set()
-        for f, g, h in model.triangles:
-            pairs.add((f, h))
-        for name in sorted(model.edges):
-            e = model.edge(name)
-            ident = identity_name(e.src)
-            pairs.add((ident, name))
-            pairs.add((name, name))
-            pairs.add((name, identity_name(e.src)))
-        model._starry_pairs = frozenset(pairs)
-    return model._starry_pairs
+    pairs = {(f, h) for f, g, h in model.triangles}
+    for name, e in model.edges.items():
+        ident = identity_name(e.src)
+        pairs.update(((ident, name), (name, name), (name, ident)))
+    return pairs
 
 
 def _triangle_vertex_edges(model, tri):

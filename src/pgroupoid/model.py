@@ -124,7 +124,6 @@ class TruncatedModel:
         self._products_from = None
         self._products_to = None
         self._out_edges = None
-        self._starry_pairs = None
 
     # -- construction helpers -------------------------------------------------
 

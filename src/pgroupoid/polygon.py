@@ -531,8 +531,7 @@ def _spine_words(target, rows, t, t2):
 def _splitting_hom(target, t, t2, word) -> Hom:
     """The hom NA(T, T') -> target of a splitting spine word, re-checked."""
     glued = build_glued(t, t2, variant="na")
-    hom = _hom_from_evaluation(glued, target, word, triangulation_to_tamari(t),
-                               triangulation_to_tamari(t2))
+    hom = _hom_from_evaluation(glued, target, word)
     if not verify_hom(glued.model, target, hom) \
             or hom.edge(glued.long_t) == hom.edge(glued.long_t2):
         raise AssertionError(f"spine word {word} gives no long-edge-splitting hom")
@@ -551,85 +550,49 @@ def violator_from_mean_word(target: TruncatedModel, word) -> tuple[
     """
     word = _words.check_word(target, word)
     while True:
-        trees = _words.value_trees(target, word)
-        vals = sorted(trees)
-        if len(vals) < 2:
+        trees = list(_words.value_trees(target, word).values())
+        if len(trees) < 2:
             raise GluingError("word is not mean")
-        v1, v2 = vals[0], vals[1]
-        shared = _shared_grouping(trees[v1], trees[v2])
-        if shared is None:
+        t, t2 = tamari_to_triangulation(trees[0]), tamari_to_triangulation(trees[1])
+        ear = _shared_linear_ear(t, t2)
+        if ear is None:
             break
-        word = _words.contract(target, word, shared)
+        # the ear (i-1, i, i+1) groups leaves i and i+1 in both trees
+        word = _words.contract(target, word, ear[1])
         if word is None:
             raise AssertionError("shared grouping did not contract")
     if len(word) < 3:
         raise GluingError("mean words have length at least 3")
-    t = tamari_to_triangulation(trees[v1])
-    t2 = tamari_to_triangulation(trees[v2])
-    if pair_classify(t, t2) == INCOMPATIBLE:
-        raise AssertionError("shortened parenthesizations still share an ear")
     glued = build_glued(t, t2, variant="na")
-    hom = _hom_from_evaluation(glued, target, word, trees[v1], trees[v2])
+    hom = _hom_from_evaluation(glued, target, word)
     return t, t2, hom
 
 
-def _shared_grouping(tree1, tree2):
-    """1-based position of a leaf pair grouped by both trees, or None."""
-
-    def groupings(node, acc):
-        if isinstance(node, int):
-            return
-        left, right = node
-        if isinstance(left, int) and isinstance(right, int):
-            acc.add(left)
-        groupings(left, acc)
-        groupings(right, acc)
-
-    a, b = set(), set()
-    groupings(tree1, a)
-    groupings(tree2, b)
-    common = a & b
-    return min(common) if common else None
-
-
-def _subtree_values(target, word, tree):
-    """Map chord (i, j) -> evaluated edge, for every node of the tree."""
-    out = {}
-
-    def walk(node):
-        if isinstance(node, int):
-            out[(node - 1, node)] = word[node - 1]
-            return (node - 1, node)
-        (a, m) = walk(node[0])
-        (m2, b) = walk(node[1])
-        h = target.mult(out[(a, m)], out[(m2, b)])
+def _chord_values(target, word, t: Triangulation):
+    """Map chord (i, k) -> evaluated edge: sides read the word, and each
+    triangle (i, j, k), shorter spans first, multiplies its two short sides."""
+    out = {(i - 1, i): letter for i, letter in enumerate(word, 1)}
+    for i, j, k in sorted(t.triples, key=lambda tri: tri[2] - tri[0]):
+        h = target.mult(out[(i, j)], out[(j, k)])
         if h is None:
-            raise AssertionError("derivation tree does not evaluate")
-        out[(a, b)] = h
-        return (a, b)
-
-    walk(tree)
+            raise AssertionError(f"chord ({i}, {k}) does not evaluate")
+        out[(i, k)] = h
     return out
 
 
-def _hom_from_evaluation(glued: GluedModel, target: TruncatedModel,
-                         word, tree1, tree2) -> Hom:
+def _hom_from_evaluation(glued: GluedModel, target: TruncatedModel, word) -> Hom:
     n = glued.n
-    eval1 = _subtree_values(target, word, tree1)
-    eval2 = _subtree_values(target, word, tree2)
     vmap = {"0": _words.word_src(target, word)}
     for i in range(1, n + 1):
         vmap[str(i)] = target.edge(word[i - 1]).tgt
     emap = {}
-    for prefix, table in (("T", eval1), ("T'", eval2)):
-        for (i, j), value in table.items():
-            name = _edge_name(n, prefix, i, j, False)
-            emap[name] = value
+    for prefix, t in (("T", glued.t), ("T'", glued.t2)):
+        for (i, j), value in _chord_values(target, word, t).items():
+            emap[_edge_name(n, prefix, i, j, False)] = value
     for name in glued.model.edges:
         e = glued.model.edge(name)
         if e.is_identity:
             emap[name] = identity_name(vmap[e.src])
         elif name.endswith("^"):
             emap[name] = target.inv(emap[name[:-1]])
-    hom = Hom.of(vmap, emap)
-    return hom
+    return Hom.of(vmap, emap)

@@ -91,52 +91,48 @@ def contractions(model: TruncatedModel, word):
 # -- full-contraction values (interval dynamic programming) -------------------
 
 
-def values(model: TruncatedModel, word) -> frozenset[str]:
-    """The set of edges the word contracts to, over all parenthesizations.
+def _derivations(model: TruncatedModel, word) -> dict:
+    """The interval table of all parenthesizations.  The word is trusted.
 
-    Interval DP: V[i,i] = {w_i}, V[i,j] = union over splits k of the
-    defined products of V[i,k] with V[k+1,j]; degenerate products count.
+    Cell (i, j) maps each value of word[i..j] to its first derivation
+    (k, u, v): split after position k, left value u, right value v, in
+    deterministic order (split position ascending, then sorted
+    sub-values); a leaf maps its letter to None.  Cells iterate in sorted
+    order.  Degenerate products count.
     """
-    word = check_word(model, word)
-    n = len(word)
-    table = {(i, i): frozenset((word[i],)) for i in range(n)}
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span - 1
-            acc = set()
-            for k in range(i, j):
-                for u in table[(i, k)]:
-                    prods = model.products_from(u)
-                    for v in table[(k + 1, j)]:
-                        h = prods.get(v)
-                        if h is not None:
-                            acc.add(h)
-            table[(i, j)] = frozenset(acc)
-    return table[(0, n - 1)]
-
-
-def value_trees(model: TruncatedModel, word) -> dict[str, object]:
-    """One parenthesization per value, as nested tuples over leaves 1..n.
-
-    The tree for a value is the first derivation in deterministic order
-    (split position ascending, then sorted sub-values); leaves are 1-based
-    positions, internal nodes are pairs (left, right).
-    """
-    word = check_word(model, word)
     n = len(word)
     table = {(i, i): {word[i]: None} for i in range(n)}
     for span in range(2, n + 1):
         for i in range(n - span + 1):
             j = i + span - 1
-            acc = {}
+            cell = {}
             for k in range(i, j):
-                for u in sorted(table[(i, k)]):
+                right = table[(k + 1, j)]
+                for u in table[(i, k)]:
                     prods = model.products_from(u)
-                    for v in sorted(table[(k + 1, j)]):
+                    for v in right:
                         h = prods.get(v)
-                        if h is not None and h not in acc:
-                            acc[h] = (k, u, v)
-            table[(i, j)] = acc
+                        if h is not None and h not in cell:
+                            cell[h] = (k, u, v)
+            table[(i, j)] = dict(sorted(cell.items()))
+    return table
+
+
+def values(model: TruncatedModel, word) -> frozenset[str]:
+    """The set of edges the word contracts to, over all parenthesizations."""
+    word = check_word(model, word)
+    return frozenset(_derivations(model, word)[(0, len(word) - 1)])
+
+
+def value_trees(model: TruncatedModel, word) -> dict[str, object]:
+    """One parenthesization per value, as nested tuples over leaves 1..n.
+
+    The tree for a value is its first derivation in the order of
+    :func:`_derivations`; leaves are 1-based positions, internal nodes are
+    pairs (left, right).
+    """
+    word = check_word(model, word)
+    table = _derivations(model, word)
 
     def tree(i, j, val):
         if i == j:
@@ -144,7 +140,8 @@ def value_trees(model: TruncatedModel, word) -> dict[str, object]:
         k, u, v = table[(i, j)][val]
         return (tree(i, k, u), tree(k + 1, j, v))
 
-    return {val: tree(0, n - 1, val) for val in sorted(table[(0, n - 1)])}
+    n = len(word)
+    return {val: tree(0, n - 1, val) for val in table[(0, n - 1)]}
 
 
 def is_mean(model: TruncatedModel, word) -> bool:
@@ -322,23 +319,21 @@ class Zigzag:
 
 
 def contracts_to(model: TruncatedModel, word, target) -> bool:
-    """Whether word ~>* target through one-step contractions."""
+    """Whether word ~>* target through one-step contractions.
+
+    Contractions in disjoint blocks commute, so this holds exactly when the
+    word is longer than the target and splits into len(target) consecutive
+    blocks, block r having target[r] among its values.
+    """
     word, target = tuple(word), tuple(target)
     if len(word) <= len(target):
         return False
-    seen = set()
-    stack = [word]
-    while stack:
-        w = stack.pop()
-        if w in seen:
-            continue
-        seen.add(w)
-        for nxt in contractions(model, w):
-            if nxt == target:
-                return True
-            if len(nxt) > len(target):
-                stack.append(nxt)
-    return False
+    table = _derivations(model, check_word(model, word))
+    ends = {0}
+    for letter in target:
+        ends = {j + 1 for i in ends for j in range(i, len(word))
+                if letter in table[(i, j)]}
+    return len(word) in ends
 
 
 def verify_zigzag(model: TruncatedModel, zigzag: Zigzag) -> None:

@@ -1,9 +1,9 @@
 """Independent oracles and generators shared by the test modules.
 
-The oracles deliberately avoid the code paths they check: word values are
-recomputed by enumerating one-step contraction sequences, triangulations
-by filtering non-crossing diagonal subsets, and categories come from a
-pool of hand-rolled constructions.
+The oracles deliberately avoid the code paths they check: word values and
+contractibility are recomputed by enumerating one-step contraction
+sequences, triangulations by filtering non-crossing diagonal subsets, and
+categories come from a pool of hand-rolled constructions.
 """
 from __future__ import annotations
 
@@ -36,6 +36,26 @@ def brute_values(model, word, _memo=None):
         out = frozenset(acc)
     _memo[word] = out
     return out
+
+
+def brute_contracts_to(model, word, target):
+    """Whether word ~>* target, by depth-first search over one-step contractions."""
+    word, target = tuple(word), tuple(target)
+    if len(word) <= len(target):
+        return False
+    seen = set()
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        for nxt in pg.contractions(model, w):
+            if nxt == target:
+                return True
+            if len(nxt) > len(target):
+                stack.append(nxt)
+    return False
 
 
 def all_composable_words(model, max_len, include_identities=False):

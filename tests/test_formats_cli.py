@@ -284,6 +284,28 @@ def test_cli_load_errors_name_the_subcommand(tmp_path, capsys):
         assert (rec["command"], rec["verdict"]) == (argv[0], "input-error")
 
 
+def test_cli_files_that_are_not_utf8_are_input_errors(tmp_path, capsys):
+    bad_pgd = tmp_path / "bad.pgd"
+    bad_pgd.write_bytes(b"\xff\xfe\x00pgd 1\n")
+    bad_cat = tmp_path / "bad.cat"
+    bad_cat.write_bytes(b"\xff\xfe\x00cat 1\n")
+    out_path = tmp_path / "out.pgd"
+    calls = [(cmd, str(bad_pgd)) for cmd in ("validate", "embeddable", "tau",
+                                             "orthogonal", "degree", "pregroup")]
+    calls += [("mountain", str(bad_pgd), "f", "g")]
+    calls += [(cmd, str(bad_pgd), "-o", str(out_path))
+              for cmd in ("reflect", "reduce", "symmetrize")]
+    calls += [("monoid", str(bad_cat), "--mult", "()", "()")]
+    for argv in calls:
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert (rec["command"], rec["verdict"]) == (argv[0], "input-error")
+    assert not out_path.exists()
+
+
 def test_cli_orthogonal(capsys):
     code, out = run_cli(capsys, "orthogonal", _fx("na_square.pgd"),
                         "--max-gon", "3")

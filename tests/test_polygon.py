@@ -5,6 +5,8 @@ import pytest
 import pgroupoid as pg
 
 from helpers import (
+    MODEL_FIXTURES,
+    load,
     oracle_diagonal_sets,
     pentagon_figure_pair,
     pentagon_incompatible_pair,
@@ -298,6 +300,41 @@ def test_violator_from_mean_word_shortens_shared_groupings():
     small = pg.build_glued(wt, wt2)
     assert pg.verify_hom(small.model, sq, hom2)
     assert hom2.edge(small.long_t) != hom2.edge(small.long_t2)
+
+
+def _round_trip_models():
+    """Symmetric and symmetrized fixtures, and every compatible NA gluing
+    at n = 3..5."""
+    for name in MODEL_FIXTURES:
+        model = load(name)
+        yield model if model.mode == pg.model.SYMMETRIC else pg.symmetrize(model)
+    for n in (3, 4, 5):
+        tris = pg.enumerate_triangulations(n)
+        for t in tris:
+            for t2 in tris:
+                if pg.pair_classify(t, t2) != pg.INCOMPATIBLE:
+                    yield pg.build_glued(t, t2).model
+
+
+def test_mean_witnesses_peel_to_well_behaved_violators():
+    # mean witness -> violator_from_mean_word -> peel: a well-behaved pair
+    # with n <= L and a long-edge-splitting hom into the model
+    checked = 0
+    for model in _round_trip_models():
+        witnesses = {pg.mean_scan(model, L).witness: L for L in (5, 4, 3)}
+        witnesses.pop(None, None)
+        for word, L in witnesses.items():
+            t, t2, hom = pg.violator_from_mean_word(model, word)
+            if pg.pair_classify(t, t2) != pg.WELL_BEHAVED:
+                peeled = pg.peel(t, t2, hom, model)
+                t, t2, hom = peeled.t, peeled.t2, peeled.hom
+            assert pg.pair_classify(t, t2) == pg.WELL_BEHAVED
+            assert t.n <= L
+            glued = pg.build_glued(t, t2)
+            assert pg.verify_hom(glued.model, model, hom)
+            assert hom.edge(glued.long_t) != hom.edge(glued.long_t2)
+            checked += 1
+    assert checked == 128
 
 
 def test_identifying_homs_factor_through_circular_gluing():

@@ -8,6 +8,7 @@ from pgroupoid.words import ValueTable, word_sort_key
 
 from helpers import (
     all_composable_words,
+    brute_contracts_to,
     brute_values,
     example1_symmetric,
     horn_symmetric,
@@ -72,6 +73,33 @@ def test_value_trees_are_real_derivations():
     assert set(trees) == {"f", "h"}
     assert trees["f"] == ((1, 2), 3)
     assert trees["h"] == (1, (2, 3))
+
+
+CONTRACTION_MODELS = (
+    ("na_pentagon", lambda: load("na_pentagon.pgd")),
+    ("example1_symmetric", example1_symmetric),
+    ("horn_symmetric", horn_symmetric),
+)
+
+
+@pytest.mark.parametrize("name, make", CONTRACTION_MODELS)
+def test_contracts_to_matches_contraction_search(name, make):
+    model = make()
+    rng = random.Random(name)
+    words = list(all_composable_words(model, 5))
+    for word in words:
+        one = pg.contractions(model, word)
+        two = [w for step in one for w in pg.contractions(model, step)]
+        targets = set(one) | set(two) | set(rng.sample(words, 4))
+        for target in targets:
+            assert pg.contracts_to(model, word, target) \
+                == brute_contracts_to(model, word, target), (word, target)
+        longer = word + (pg.identity_name(model.edge(word[-1]).tgt),)
+        for target in (word, longer, word[::-1], ("no such edge",) * len(word)):
+            assert not pg.contracts_to(model, word, target)
+            assert not brute_contracts_to(model, word, target)
+        # a word no longer than its target is answered before it is checked
+        assert not pg.contracts_to(model, word[::-1], word)
 
 
 def test_is_mean():
