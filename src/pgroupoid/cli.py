@@ -9,6 +9,7 @@ was asked for); bounded verdicts always carry the bound in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,6 +20,17 @@ from .model import SpininessError, symmetrize
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FAIL = 3
+
+
+class UsageError(ValueError):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises instead of printing usage and exiting, so ``main`` reports it."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def report(command, verdict, **extra):
@@ -125,6 +137,9 @@ def cmd_na(args):
 
 
 def cmd_pairs(args):
+    if args.n > polygon.MAX_GLUED_N:
+        raise polygon.TriangulationError(
+            f"pairs supports n <= {polygon.MAX_GLUED_N} only")
     tris = polygon.enumerate_triangulations(args.n)
     for i, t in enumerate(tris):
         for j, t2 in enumerate(tris):
@@ -189,8 +204,10 @@ def cmd_pregroup(args):
     return EXIT_FAIL
 
 
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The CLI's parser, built on first use and shared by every later call."""
+    parser = _Parser(
         prog="pgroupoid",
         description="bounded embeddability toolkit for finite partial groupoids")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,12 +282,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse sets `command` once it has read a known subcommand
+    args = argparse.Namespace(command=None)
     try:
+        build_parser().parse_args(argv, args)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # every library error class subclasses ValueError, and so does
-        # UnicodeDecodeError from reading a file that is not UTF-8
+        # every library error class subclasses ValueError, and so do
+        # UsageError and UnicodeDecodeError from a file that is not UTF-8
         report(args.command, "input-error", detail=str(exc))
         return EXIT_INPUT
 

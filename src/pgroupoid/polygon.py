@@ -10,7 +10,7 @@ admits two different products.
 Naming in glued models: spine edges s1..sn, diagonals dT_ij / dT'_ij per
 triangulation copy, long edges lT / lT' (merged to a single edge l when
 gluing along the circular spine).  Digits are concatenated in diagonal
-names, so gluings are limited to n <= 9, far beyond desk scale here.
+names, so gluings are limited to n <= MAX_GLUED_N, far beyond desk scale here.
 """
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ from . import words as _words
 from .model import (SYMMETRIC, Hom, ModelError, TruncatedModel, identity_name,
                     verify_hom)
 from .model import iter_homs  # noqa: F401  perfbench's tracer reads polygon.iter_homs
+
+MAX_GLUED_N = 9  # one digit per vertex in glued diagonal names
 
 
 class TriangulationError(ValueError):
@@ -277,8 +279,9 @@ def build_raw_gluing(t: Triangulation, t2: Triangulation,
     if t.n != t2.n:
         raise TriangulationError("gluing needs equal n")
     n = t.n
-    if n > 9:
-        raise TriangulationError("glued edge names support n <= 9 only")
+    if n > MAX_GLUED_N:
+        raise TriangulationError(
+            f"glued edge names support n <= {MAX_GLUED_N} only")
     objects = [str(v) for v in range(n + 1)]
     edge_pairs = {}
     triangles = []
@@ -529,12 +532,19 @@ def _spine_words(target, rows, t, t2):
 
 
 def _splitting_hom(target, t, t2, word) -> Hom:
-    """The hom NA(T, T') -> target of a splitting spine word, re-checked."""
+    """The hom NA(T, T') -> target of a splitting spine word, re-checked.
+
+    Two paths check it: :func:`verify_hom` with the long-edge split, and
+    the interval DP of :func:`words.values`, which must hold both long-edge
+    images among the word's values.
+    """
     glued = build_glued(t, t2, variant="na")
     hom = _hom_from_evaluation(glued, target, word)
-    if not verify_hom(glued.model, target, hom) \
-            or hom.edge(glued.long_t) == hom.edge(glued.long_t2):
+    images = {hom.edge(glued.long_t), hom.edge(glued.long_t2)}
+    if not verify_hom(glued.model, target, hom) or len(images) != 2:
         raise AssertionError(f"spine word {word} gives no long-edge-splitting hom")
+    if not images <= _words.values(target, word):
+        raise AssertionError(f"spine word {word} does not take the values {sorted(images)}")
     return hom
 
 

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pgroupoid as pg
 from pgroupoid import fixtures
-from pgroupoid.cli import main
+from pgroupoid.cli import build_parser, main
 from pgroupoid.formats import (
     FormatError,
     emit_cat,
@@ -349,3 +357,145 @@ def test_cli_deterministic_output(capsys):
     a = run_cli(capsys, "embeddable", _fx("na_pentagon.pgd"), "--max-len", "4")
     b = run_cli(capsys, "embeddable", _fx("na_pentagon.pgd"), "--max-len", "4")
     assert a == b
+
+
+# -- the shared parser and usage errors -----------------------------------------
+
+
+def test_cli_import_does_not_build_the_parser():
+    src = pathlib.Path(pg.__file__).resolve().parents[1]
+    code = ("import pgroupoid.cli as cli\n"
+            "print(cli.build_parser.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_cli_shared_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    na_path = str(tmp_path / "na.pgd")
+    calls = [
+        ("embeddable", _fx("na_pentagon.pgd"), "--max-len", "3"),
+        ("embeddable", _fx("na_pentagon.pgd")),
+        ("mountain", _fx("na_square.pgd"), "lT", "lT'", "--max-len", "3"),
+        ("mountain", _fx("na_square.pgd"), "lT", "lT'"),
+        ("na", "3", "0", "1", "--variant", "a", "-o", na_path),
+        ("na", "3", "0", "1", "-o", na_path),
+        ("pairs", "3"),
+        ("orthogonal", _fx("na_square.pgd"), "--max-gon", "3"),
+        ("orthogonal", _fx("a_square.pgd"), "--max-gon", "3"),
+        ("embeddable", _fx("na_square.pgd"), "--max-len", "x"),
+        ("monoid", _fx("interval.cat"), "--mult", "(f)", "(f^)"),
+    ]
+    forward = {argv: run_cli(capsys, *argv) for argv in calls}
+    backward = {argv: run_cli(capsys, *argv) for argv in reversed(calls)}
+    assert forward == backward
+    bounds = [json.loads(forward[argv][1]).get("bound") for argv in calls[:4]]
+    assert bounds == [3, 6, 3, 6]
+    assert json.loads(forward[calls[5]][1])["detail"]["variant"] == "na"
+    assert forward[calls[9]][0] == 2
+
+
+def test_cli_usage_errors_are_input_errors(capsys):
+    calls = (("embeddable",),
+             ("na", "3", "0", "1"),
+             ("frobnicate",),
+             (),
+             ("pairs", "three"),
+             ("na", "3", "0", "1", "--variant", "b", "-o", "x.pgd"),
+             ("monoid", _fx("interval.cat"), "--mult", "(f)"),
+             ("embeddable", _fx("na_square.pgd"), "--no-such-option"))
+    for argv in calls:
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert rec["verdict"] == "input-error"
+        assert rec["command"] == (argv[0] if argv and argv[0] != "frobnicate" else None)
+        assert rec["detail"]
+    _, out = run_cli(capsys, "frobnicate")
+    assert "invalid choice: 'frobnicate'" in json.loads(out)["detail"]
+
+
+def test_cli_help_still_prints_and_exits_zero(capsys):
+    for argv in (["-h"], ["na", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pgroupoid")
+
+
+# A well-formed call of each subcommand: its required tokens, then optional
+# ones.  Every integer is small, and no file is opened, because parsing
+# fails first on each drawn variant.
+_CALLS = (
+    (["validate", "f.pgd"], []),
+    (["embeddable", "f.pgd"], ["--max-len", "4"]),
+    (["mountain", "f.pgd", "f", "g"], ["--max-len", "4"]),
+    (["tau", "f.pgd"], []),
+    (["reflect", "f.pgd", "-o", "out.pgd"], ["--max-len", "4"]),
+    (["reduce", "f.pgd", "-o", "out.pgd"], []),
+    (["symmetrize", "f.pgd", "-o", "out.pgd"], []),
+    (["na", "3", "0", "1", "-o", "out.pgd"], ["--variant", "a"]),
+    (["pairs", "4"], []),
+    (["orthogonal", "f.pgd"], ["--max-gon", "4"]),
+    (["degree", "f.pgd"], []),
+    (["monoid", "c.cat", "--mult", "(f)", "(f)"], []),
+    (["pregroup", "f.pgd"], []),
+)
+_COMMANDS = {required[0] for required, _ in _CALLS}
+_letters = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+
+
+@st.composite
+def _malformed_argv(draw):
+    kind = draw(st.sampled_from(("missing", "unknown-command", "non-int",
+                                 "unknown-option")))
+    if kind == "unknown-command":
+        word = draw(_letters.filter(lambda w: w not in _COMMANDS))
+        return [word] + draw(st.lists(_letters, max_size=3))
+    if kind == "missing":
+        required, optional = draw(st.sampled_from(_CALLS))
+        return required[:draw(st.integers(1, len(required) - 1))] + optional
+    if kind == "non-int":
+        required, optional = draw(st.sampled_from(
+            [call for call in _CALLS if any(t.isdigit() for t in call[0] + call[1])]))
+        argv = required + optional
+        slot = draw(st.sampled_from([i for i, t in enumerate(argv) if t.isdigit()]))
+        return argv[:slot] + [draw(_letters)] + argv[slot + 1:]
+    required, optional = draw(st.sampled_from(_CALLS))
+    argv = required + optional
+    at = draw(st.integers(1, len(argv)))
+    return argv[:at] + ["--zz-" + draw(_letters)] + argv[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_malformed_argv())
+def test_cli_malformed_argv_gives_one_input_error_line(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    lines = buf.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
+    assert rec["verdict"] == "input-error"
+    assert rec["command"] == (argv[0] if argv[0] in _COMMANDS else None)
+
+
+def test_cli_pairs_refuses_n_above_the_limit_before_enumerating(monkeypatch, capsys):
+    def no_enumeration(n):
+        raise AssertionError("enumerated triangulations")
+
+    monkeypatch.setattr(pg.polygon, "enumerate_triangulations", no_enumeration)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "pairs", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
+    assert (rec["command"], rec["verdict"]) == ("pairs", "input-error")
+    assert str(pg.polygon.MAX_GLUED_N) in rec["detail"]

@@ -154,6 +154,13 @@ def test_build_glued_permission_errors():
     assert not raw.validate().ok
 
 
+def test_raw_gluing_refuses_polygons_beyond_the_name_limit():
+    n = pg.polygon.MAX_GLUED_N + 1
+    fan = pg.Triangulation.of(n, [(0, k, k + 1) for k in range(1, n)])
+    with pytest.raises(pg.TriangulationError, match=f"n <= {pg.polygon.MAX_GLUED_N}"):
+        pg.build_raw_gluing(fan, fan)
+
+
 def test_raw_gluing_validates_iff_compatible():
     for n in (3, 4, 5):
         tris = pg.enumerate_triangulations(n)
@@ -267,6 +274,14 @@ def test_orthogonality_na_square_identity_violator():
     s, s2 = square_pair()
     assert (t, t2) == (s, s2)
     assert hom.is_identity()
+
+
+def test_orthogonality_rechecks_its_violator_with_values(monkeypatch):
+    na = pg.fixtures.load_model("na_pentagon.pgd")
+    assert not pg.orthogonality_check(na, 4).ok
+    monkeypatch.setattr(pg.words, "values", lambda model, word: frozenset({"lT"}))
+    with pytest.raises(AssertionError):
+        pg.orthogonality_check(na, 4)
 
 
 def test_orthogonality_square_a_passes():
