@@ -448,6 +448,8 @@ def orthogonality_check(target: TruncatedModel, max_n: int) -> OrthogonalityResu
     For every well-behaved pair with 3 <= n <= max_n and every hom
     NA -> target, the two long edges must land on the same edge
     (equivalently the map factors through the circular-spine gluing A).
+    ``max_n`` must lie in 3..MAX_GLUED_N, or :class:`TriangulationError`
+    is raised before any search.
 
     A hom out of NA(T, T') is its spine word: each diagonal is the product
     of the two shorter sides of its triangle, and vertices and inverses
@@ -460,26 +462,61 @@ def orthogonality_check(target: TruncatedModel, max_n: int) -> OrthogonalityResu
     long-edge-splitting word, the least such word by
     :func:`words.word_sort_key` becomes the violator, whose hom is built
     and re-checked with :func:`verify_hom`.
+
+    Only the first pair of each swap/mirror class (:func:`_pair_classes`)
+    is walked; the others reuse its count.  Swapping T and T' keeps the
+    words and swaps the long edges.  Mirroring both triangulations
+    (vertex v -> n - v) sends a word a1..an to an^-1..a1^-1: in a
+    validated symmetric target, xy = z holds iff y^-1 x^-1 = z^-1, so
+    every chord of the mirrored pair is defined on the reversed inverse
+    word iff the chord it mirrors is defined on the word, with the
+    inverse value.  Both maps are bijections on spine words that keep
+    "the long edges differ", so a class shares its hom count, and a
+    class with a splitting word is first violated at its first member.
     """
+    if not 3 <= max_n <= MAX_GLUED_N:
+        raise TriangulationError(
+            f"orthogonality needs 3 <= max_n <= {MAX_GLUED_N}, got {max_n}")
     if target.mode != SYMMETRIC:
         raise ModelError("orthogonality check needs a symmetric target")
     rows = {e: target.products_from(e) for e in target.edges}
     pairs = homs = 0
     for n in range(3, max_n + 1):
-        tris = enumerate_triangulations(n)
-        for t in tris:
-            for t2 in tris:
-                if pair_classify(t, t2) != WELL_BEHAVED:
-                    continue
-                pairs += 1
-                count, splitting = _spine_words(target, rows, t, t2)
-                homs += count
-                if splitting:
-                    word = min(splitting, key=_words.word_sort_key)
-                    hom = _splitting_hom(target, t, t2, word)
-                    return OrthogonalityResult(False, max_n, (t, t2, hom),
-                                               pairs, homs)
+        counts = []  # hom count per class, classes numbered by first member
+        for t, t2, cls in _pair_classes(n):
+            pairs += 1
+            if cls < len(counts):
+                homs += counts[cls]
+                continue
+            count, splitting = _spine_words(target, rows, t, t2)
+            counts.append(count)
+            homs += count
+            if splitting:
+                word = min(splitting, key=_words.word_sort_key)
+                hom = _splitting_hom(target, t, t2, word)
+                return OrthogonalityResult(False, max_n, (t, t2, hom),
+                                           pairs, homs)
     return OrthogonalityResult(True, max_n, None, pairs, homs)
+
+
+@lru_cache(maxsize=None)
+def _pair_classes(n: int) -> tuple[tuple[Triangulation, Triangulation, int], ...]:
+    """The well-behaved pairs (T, T') of the (n+1)-gon in check order, each
+    with the number of its class under swap and mirror (v -> n - v on both);
+    classes are numbered in order of their first member."""
+    tris = enumerate_triangulations(n)
+    index = {t: i for i, t in enumerate(tris)}
+    mirror = [index[Triangulation.of(n, [(n - k, n - j, n - i) for i, j, k in t.triples])]
+              for t in tris]
+    classes: dict[tuple[int, int], int] = {}
+    out = []
+    for i, t in enumerate(tris):
+        for j, t2 in enumerate(tris):
+            if pair_classify(t, t2) != WELL_BEHAVED:
+                continue
+            key = min((i, j), (j, i), (mirror[i], mirror[j]), (mirror[j], mirror[i]))
+            out.append((t, t2, classes.setdefault(key, len(classes))))
+    return tuple(out)
 
 
 def _spine_words(target, rows, t, t2):

@@ -12,6 +12,7 @@ import itertools
 import pgroupoid as pg
 from pgroupoid import fixtures
 from pgroupoid.category import FiniteCategory, IDENTITY_PREFIX
+from pgroupoid.model import orbit_images
 
 
 # -- contraction-sequence oracle -------------------------------------------------
@@ -100,6 +101,32 @@ def oracle_diagonal_sets(n):
         if all(not crosses(a, b) for a, b in itertools.combinations(combo, 2)):
             out.add(frozenset(combo))
     return out
+
+
+# -- random sub-nerves --------------------------------------------------------------
+
+
+def sub_nerve(nerve, rng, edge_p, tri_p):
+    """A random partial subgroupoid of a symmetric groupoid nerve.
+
+    Each involution pair of nonidentity edges survives with probability
+    ``edge_p``, and each triangle orbit on surviving edges with probability
+    ``tri_p``.  The result embeds in the groupoid, so every word is kind.
+    """
+    kept = {}
+    for name in sorted(nerve.edges):
+        e = nerve.edge(name)
+        if name not in kept:
+            kept[name] = kept[e.inv] = e.is_identity or rng.random() < edge_p
+    orbits = {}
+    for tri in sorted(nerve.triangles):
+        if all(kept[x] for x in tri):
+            orbit = frozenset(orbit_images(tri, nerve.inv)) & nerve.triangles
+            if orbit not in orbits:
+                orbits[orbit] = rng.random() < tri_p
+    triangles = set().union(*(orbit for orbit, keep in orbits.items() if keep))
+    edges = [nerve.edge(name) for name in sorted(kept) if kept[name]]
+    return pg.TruncatedModel(nerve.mode, nerve.objects, edges, triangles)
 
 
 # -- category pool -----------------------------------------------------------------

@@ -327,6 +327,18 @@ def test_cli_orthogonal(capsys):
     assert code == 0
 
 
+def test_cli_orthogonal_refuses_gon_bounds_outside_the_gluing_range(capsys):
+    for bound in ("-1", "0", "2", str(pg.polygon.MAX_GLUED_N + 1)):
+        code, out = run_cli(capsys, "orthogonal", _fx("na_square.pgd"),
+                            "--max-gon", bound)
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert (rec["command"], rec["verdict"]) == ("orthogonal", "input-error")
+        assert str(pg.polygon.MAX_GLUED_N) in rec["detail"]
+
+
 def test_cli_degree(capsys):
     code, out = run_cli(capsys, "degree", _fx("na_square.pgd"))
     assert code == 0

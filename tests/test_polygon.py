@@ -1,8 +1,14 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pgroupoid as pg
+from pgroupoid.monoid import reduce_model
 
 from helpers import (
     MODEL_FIXTURES,
@@ -11,6 +17,7 @@ from helpers import (
     pentagon_figure_pair,
     pentagon_incompatible_pair,
     square_pair,
+    sub_nerve,
 )
 
 
@@ -284,6 +291,18 @@ def test_orthogonality_rechecks_its_violator_with_values(monkeypatch):
         pg.orthogonality_check(na, 4)
 
 
+def test_orthogonality_refuses_gon_bounds_outside_the_gluing_range(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked spine words")
+
+    monkeypatch.setattr(pg.polygon, "_spine_words", no_walk)
+    top = pg.polygon.MAX_GLUED_N
+    for target in (load("na_square.pgd"), pg.nerve_truncation(pg.cyclic_group(3))):
+        for max_n in (-1, 0, 2, top + 1):
+            with pytest.raises(pg.TriangulationError, match=f"3 <= max_n <= {top}"):
+                pg.orthogonality_check(target, max_n)
+
+
 def test_orthogonality_square_a_passes():
     a = pg.fixtures.load_model("a_square.pgd")
     res = pg.orthogonality_check(a, 4)
@@ -375,13 +394,22 @@ def test_identifying_homs_factor_through_circular_gluing():
 
 
 def test_bounded_meanness_matches_orthogonality():
-    # kind at bound <-> orthogonality passes for gons within the bound
-    nerve = pg.nerve_truncation(pg.cyclic_group(3))
-    assert pg.mean_scan(nerve, 5).is_kind
-    assert pg.orthogonality_check(nerve, 5).ok
-    na = pg.fixtures.load_model("na_square.pgd")
-    assert not pg.mean_scan(na, 3).is_kind
-    assert not pg.orthogonality_check(na, 3).ok
+    # folklore theorem: kind at bound L <-> orthogonal to every gluing up to
+    # the (L+1)-gon; reduction theorem: the reduced model gets both verdicts too
+    models = [load(name) for name in MODEL_FIXTURES]
+    models = [m if m.mode == pg.model.SYMMETRIC else pg.symmetrize(m) for m in models]
+    models += [pg.nerve_truncation(pg.cyclic_group(3)),
+               pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c"]))]
+    verdicts = set()
+    for model in models:
+        reduced = reduce_model(model)
+        for L in (3, 4, 5):
+            kind = pg.mean_scan(model, L).is_kind
+            assert pg.orthogonality_check(model, L).ok == kind
+            assert pg.mean_scan(reduced, L).is_kind == kind
+            assert pg.orthogonality_check(reduced, L).ok == kind
+            verdicts.add(kind)
+    assert verdicts == {True, False}
 
 
 # -- spine-word search against the generic hom search ---------------------------------
@@ -445,3 +473,120 @@ def test_spine_word_search_matches_generic_hom_search():
             assert min(splitting, key=lambda h: pg.words.word_sort_key(
                 tuple(h.edge(s) for s in glued.spine))) == hom, where
     assert mean_seen >= 4
+
+
+# -- one walk per swap/mirror class against the per-pair walk --------------------------
+
+
+def _per_pair_orthogonality(target, max_n):
+    """Walk the spine words of every well-behaved pair; the violator is the
+    least splitting word of the first pair that has one."""
+    rows = {e: target.products_from(e) for e in target.edges}
+    pairs = homs = 0
+    for n in range(3, max_n + 1):
+        tris = pg.enumerate_triangulations(n)
+        for t in tris:
+            for t2 in tris:
+                if pg.pair_classify(t, t2) != pg.WELL_BEHAVED:
+                    continue
+                pairs += 1
+                count, splitting = pg.polygon._spine_words(target, rows, t, t2)
+                homs += count
+                if splitting:
+                    word = min(splitting, key=pg.words.word_sort_key)
+                    hom = pg.polygon._splitting_hom(target, t, t2, word)
+                    return False, pairs, homs, (t, t2, hom)
+    return True, pairs, homs, None
+
+
+def _check_against_per_pair_walk(target, max_n):
+    res = pg.orthogonality_check(target, max_n)
+    expected = _per_pair_orthogonality(target, max_n)
+    assert (res.ok, res.pairs_checked, res.homs_checked, res.violator) == expected
+    return res
+
+
+def test_class_walk_matches_per_pair_walk_at_gon_five():
+    for target in (pg.nerve_truncation(pg.cyclic_group(2)),
+                   pg.nerve_truncation(pg.cyclic_group(3)),
+                   pg.nerve_truncation(pg.pair_groupoid(["a", "b"])),
+                   load("a_square.pgd"), load("free_one_generator.pgd")):
+        assert _check_against_per_pair_walk(target, 5).ok
+    positions = set()
+    tris = pg.enumerate_triangulations(5)
+    for t in tris:
+        for t2 in tris:
+            if pg.pair_classify(t, t2) == pg.WELL_BEHAVED:
+                res = _check_against_per_pair_walk(pg.build_glued(t, t2).model, 5)
+                assert not res.ok
+                positions.add(res.pairs_checked)
+    assert len(positions) >= 3
+
+
+_NERVES = (pg.cyclic_group(2), pg.cyclic_group(3), pg.cyclic_group(4),
+           pg.pair_groupoid(["a", "b"]), pg.pair_groupoid(["a", "b", "c"]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(range(len(_NERVES))), st.integers(0, 2**32),
+       st.floats(0.5, 1.0), st.floats(0.5, 1.0))
+def test_class_walk_matches_per_pair_walk_on_sub_nerves(which, seed, edge_p, tri_p):
+    nerve = pg.nerve_truncation(_NERVES[which])
+    model = sub_nerve(nerve, random.Random(seed), edge_p, tri_p)
+    assert model.validate().ok
+    assert _check_against_per_pair_walk(model, 5).ok
+
+
+def _mirror(t):
+    n = t.n
+    return pg.Triangulation.of(n, [(n - k, n - j, n - i) for i, j, k in t.triples])
+
+
+def test_swapped_and_mirrored_pairs_have_the_same_spine_words():
+    targets = (load("na_square.pgd"), load("na_pentagon.pgd"), load("a_square.pgd"),
+               pg.nerve_truncation(pg.cyclic_group(3)))
+    splitting_pairs = 0
+    for target in targets:
+        rows = {e: target.products_from(e) for e in target.edges}
+
+        def walk(t, t2):
+            count, splitting = pg.polygon._spine_words(target, rows, t, t2)
+            return count, set(splitting)
+
+        for n in (3, 4, 5):
+            classes = {(t, t2): cls for t, t2, cls in pg.polygon._pair_classes(n)}
+            for (t, t2), cls in classes.items():
+                m, m2 = _mirror(t), _mirror(t2)
+                assert classes[(t2, t)] == classes[(m, m2)] == cls
+                count, splitting = walk(t, t2)
+                assert walk(t2, t) == (count, splitting)
+                reversed_inverses = {tuple(target.inv(a) for a in reversed(word))
+                                     for word in splitting}
+                assert walk(m, m2) == (count, reversed_inverses)
+                splitting_pairs += bool(splitting)
+    assert splitting_pairs > 0
+
+
+def test_pair_classes_split_the_well_behaved_pairs():
+    sizes = []
+    for n in (3, 4, 5, 6):
+        table = pg.polygon._pair_classes(n)
+        tris = pg.enumerate_triangulations(n)
+        assert [(t, t2) for t, t2, _ in table] == [
+            (t, t2) for t in tris for t2 in tris
+            if pg.pair_classify(t, t2) == pg.WELL_BEHAVED]
+        ids = [cls for *_, cls in table]
+        assert sorted(set(ids)) == list(range(len(set(ids))))
+        assert all(ids[k] <= max(ids[:k], default=-1) + 1 for k in range(len(ids)))
+        sizes.append((len(set(ids)), len(table)))
+    assert sizes == [(1, 2), (3, 10), (23, 80), (184, 714)]
+
+
+def test_import_builds_no_pair_class_table():
+    src = pathlib.Path(pg.__file__).resolve().parents[1]
+    code = ("import pgroupoid.cli, pgroupoid.polygon as polygon\n"
+            "print(polygon._pair_classes.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          check=True)
+    assert done.stdout.strip() == "0"
