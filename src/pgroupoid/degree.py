@@ -10,7 +10,6 @@ the cone criterion on the triangulation pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .model import SYMMETRIC, TruncatedModel, identity_name
 from .polygon import INCOMPATIBLE, Triangulation, pair_classify
@@ -52,58 +51,26 @@ def _member_pairs(model):
     return pairs
 
 
-def _triangle_vertex_edges(model, tri):
-    """Oriented edge lookup (p, q) -> edge between vertices p, q of a triangle."""
-    f, g, h = tri
-    ef, eg = model.edge(f), model.edge(g)
-    verts = (ef.src, ef.tgt, eg.tgt)
-    lookup = {}
-    for p in range(3):
-        lookup[(p, p)] = identity_name(verts[p])
-    lookup[(0, 1)], lookup[(1, 0)] = f, model.inv(f)
-    lookup[(1, 2)], lookup[(2, 1)] = g, model.inv(g)
-    lookup[(0, 2)], lookup[(2, 0)] = h, model.inv(h)
-    return verts, lookup
-
-
 def starry_member(model: TruncatedModel, star: StarryWord) -> bool:
     """Whether the starry word is the star of a (possibly degenerate) simplex.
 
-    Length 2 is a table lookup.  For length n >= 3 the word must factor as
-    legs_i = edge_y(p, phi(i)) for a simplex y of dimension k <= 2, a vertex
-    position p of y mapping to the source, and a function phi from the last
-    n positions to the vertex positions of y.
+    The word must factor as legs_i = edge_y(p, phi(i)) for a simplex y of
+    dimension k <= 2 (an object, an edge or a stored triangle), a vertex p
+    of y at the source, and a function phi from the leg positions to the
+    vertices of y.  As phi is any map, this holds exactly when every leg is
+    an edge of y out of p, the identity included.  One nonidentity leg is
+    always an edge out of the source; more need a triangle.
     """
     _require_symmetric(model)
     _check_star(model, star.source, star.legs)
-    legs = star.legs
-    n = len(legs)
-    if n == 2:
-        return legs in _member_pairs(model)
-
-    # dimension 0: all legs are the source identity
-    ident = identity_name(star.source)
-    if all(leg == ident for leg in legs):
+    legs = set(star.legs) - {identity_name(star.source)}
+    if len(legs) <= 1:
         return True
-    # dimension 1: legs take values in {id, e, inv e} consistently
-    for name in model.nonidentity_edges():
-        e = model.edge(name)
-        for p, options in ((0, (identity_name(e.src), name)),
-                           (1, (identity_name(e.tgt), model.inv(name)))):
-            vert = (e.src, e.tgt)[p]
-            if vert != star.source:
-                continue
-            if all(leg in options for leg in legs):
+    inv = model.inv
+    for f, g, h in model.triangles:
+        for out in ((f, h), (inv(f), g), (inv(g), inv(h))):
+            if model.edge(out[0]).src == star.source and legs <= set(out):
                 return True
-    # dimension 2: pull back a stored triangle
-    for tri in sorted(model.triangles):
-        verts, lookup = _triangle_vertex_edges(model, tri)
-        for p in range(3):
-            if verts[p] != star.source:
-                continue
-            for phi in product(range(3), repeat=n):
-                if all(lookup[(p, phi[i])] == legs[i] for i in range(n)):
-                    return True
     return False
 
 

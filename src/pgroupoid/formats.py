@@ -241,7 +241,3 @@ def parse_string_arg(text: str) -> tuple[str, ...]:
     if not text:
         return ()
     return parse_word(text)
-
-
-def format_string(entries) -> str:
-    return "(" + ",".join(entries) + ")"

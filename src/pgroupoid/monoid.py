@@ -12,7 +12,6 @@ unique; the normal forms (reduced jagged strings) form a monoid under
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .category import FiniteCategory, CategoryError
@@ -48,50 +47,23 @@ def reduce_model(model: TruncatedModel) -> TruncatedModel:
 # -- string rewriting -------------------------------------------------------------
 
 
-def _applicable(cat: FiniteCategory, entries):
-    """All applicable rewrites: ('compose', i) and ('delete', i) moves."""
-    moves = []
-    for i in range(len(entries) - 1):
-        if cat.composable(entries[i], entries[i + 1]):
-            moves.append(("compose", i))
-    for i, name in enumerate(entries):
-        if cat.is_identity(name):
-            moves.append(("delete", i))
-    return moves
+def normalize(cat: FiniteCategory, entries) -> tuple[str, ...]:
+    """The normal form, by one left-to-right pass.
 
-
-def _apply(cat: FiniteCategory, entries, move):
-    kind, i = move
-    if kind == "compose":
-        h = cat.compose(entries[i + 1], entries[i])
-        return entries[:i] + (h,) + entries[i + 2:]
-    return entries[:i] + entries[i + 1:]
-
-
-def normalize(cat: FiniteCategory, entries, strategy: str = "leftmost",
-              rng: random.Random | None = None) -> tuple[str, ...]:
-    """Rewrite to normal form; the result is strategy independent.
-
-    ``leftmost`` prefers the leftmost applicable position, composing
-    before deleting at the same index; ``random`` draws each step from
-    the applicable moves using ``rng``.
+    Each entry is composed into the reduced prefix when the two compose,
+    and identities are dropped.  A composite keeps the source of the
+    prefix's last entry, which does not compose with the entry before it,
+    so one composition per entry suffices.  Normal forms are unique, so
+    any other rewriting order gives the same result.
     """
-    entries = tuple(entries)
+    out: list[str] = []
     for name in entries:
         cat.morphism(name)
-    while True:
-        moves = _applicable(cat, entries)
-        if not moves:
-            return entries
-        if strategy == "leftmost":
-            move = min(moves, key=lambda m: (m[1], m[0] != "compose"))
-        elif strategy == "random":
-            if rng is None:
-                raise RewriteError("random strategy needs an rng")
-            move = rng.choice(moves)
-        else:
-            raise RewriteError(f"unknown strategy {strategy!r}")
-        entries = _apply(cat, entries, move)
+        if out and cat.composable(out[-1], name):
+            name = cat.compose(name, out.pop())
+        if not cat.is_identity(name):
+            out.append(name)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -101,10 +73,8 @@ class NormalForm:
     entries: tuple[str, ...]
 
     @classmethod
-    def of(cls, cat: FiniteCategory, entries,
-           strategy: str = "leftmost",
-           rng: random.Random | None = None) -> "NormalForm":
-        nf = cls(normalize(cat, entries, strategy=strategy, rng=rng))
+    def of(cls, cat: FiniteCategory, entries) -> "NormalForm":
+        nf = cls(normalize(cat, entries))
         nf.check(cat)
         return nf
 

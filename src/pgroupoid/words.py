@@ -428,12 +428,13 @@ def find_zigzag(model: TruncatedModel, f: str, g: str, peak_cap: int,
 
 def mountain(model: TruncatedModel, f: str, g: str,
              max_len: int) -> tuple[str, ...] | None:
-    """A word of length <= max_len with both f and g among its values.
+    """The least word of length <= max_len with both f and g among its values.
 
-    For f = g the degenerate word (id, f) does the job.  In symmetric mode
-    a zigzag between f and g is searched first and folded into a mountain;
-    when that fails or overshoots the bound, the bounded exhaustive scan
-    decides (so an absent verdict is exhaustive at the bound).
+    For f = g the degenerate word (id, f) does the job.  Otherwise the
+    bounded scan of :class:`ValueTable` decides, so the witness is the
+    shortest such word, first in :func:`word_sort_key` order, and an absent
+    verdict is exhaustive at the bound.  The witness is re-checked with
+    :func:`values` before it is returned.
     """
     ef, eg = model.edge(f), model.edge(g)
     if (ef.src, ef.tgt) != (eg.src, eg.tgt):
@@ -442,12 +443,6 @@ def mountain(model: TruncatedModel, f: str, g: str,
         raise WordError("mountain search needs max_len >= 2")
     if f == g:
         return (identity_name(ef.src), f)
-    if model.mode == SYMMETRIC:
-        zz = find_zigzag(model, f, g, peak_cap=max_len)
-        if zz is not None:
-            word = mountain_from_zigzag(model, zz)
-            if len(word) <= max_len:
-                return word
 
     def both(index, layer):
         return index.get(f, set()) & index.get(g, set())

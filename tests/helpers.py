@@ -2,8 +2,10 @@
 
 The oracles deliberately avoid the code paths they check: word values and
 contractibility are recomputed by enumerating one-step contraction
-sequences, triangulations by filtering non-crossing diagonal subsets, and
-categories come from a pool of hand-rolled constructions.
+sequences, triangulations by filtering non-crossing diagonal subsets,
+starry membership by enumerating pullbacks of simplices, normal forms by
+rewriting in random order, and categories come from a pool of
+hand-rolled constructions.
 """
 from __future__ import annotations
 
@@ -78,6 +80,80 @@ def all_composable_words(model, max_len, include_identities=False):
 
     for e in starts:
         yield from extend((e,))
+
+
+# -- starry-membership oracle -------------------------------------------------------
+
+
+def _low_simplices(model):
+    """Each simplex of dimension <= 2 as (vertices, edge between positions).
+
+    Objects, nonidentity edges and stored triangles; ``edge[(p, q)]`` is the
+    edge from vertex position p to q, an identity when p == q.
+    """
+    for obj in model.objects:
+        yield (obj,), {(0, 0): pg.identity_name(obj)}
+    for name in model.nonidentity_edges():
+        e = model.edge(name)
+        yield (e.src, e.tgt), {(0, 0): pg.identity_name(e.src), (0, 1): name,
+                               (1, 0): model.inv(name),
+                               (1, 1): pg.identity_name(e.tgt)}
+    for f, g, h in sorted(model.triangles):
+        verts = (model.edge(f).src, model.edge(f).tgt, model.edge(g).tgt)
+        edge = {(p, p): pg.identity_name(verts[p]) for p in range(3)}
+        for (p, q), x in (((0, 1), f), ((1, 2), g), ((0, 2), h)):
+            edge[(p, q)], edge[(q, p)] = x, model.inv(x)
+        yield verts, edge
+
+
+def brute_starry_members(model, source, n):
+    """The member starry words of length n at ``source``, by trying every phi.
+
+    A word is a member when legs_i = edge_y(p, phi(i)) for a simplex y of
+    dimension <= 2, a vertex p of y at the source and a map phi from the n
+    leg positions to the vertices of y.
+    """
+    out = set()
+    for verts, edge in _low_simplices(model):
+        for p, vert in enumerate(verts):
+            if vert != source:
+                continue
+            for phi in itertools.product(range(len(verts)), repeat=n):
+                out.add(tuple(edge[(p, q)] for q in phi))
+    return out
+
+
+# -- rewriting oracle -----------------------------------------------------------------
+
+
+def applicable_moves(cat, entries):
+    """All applicable rewrites: ('compose', i) and ('delete', i) moves."""
+    moves = []
+    for i in range(len(entries) - 1):
+        if cat.composable(entries[i], entries[i + 1]):
+            moves.append(("compose", i))
+    for i, name in enumerate(entries):
+        if cat.is_identity(name):
+            moves.append(("delete", i))
+    return moves
+
+
+def apply_move(cat, entries, move):
+    kind, i = move
+    if kind == "compose":
+        h = cat.compose(entries[i + 1], entries[i])
+        return entries[:i] + (h,) + entries[i + 2:]
+    return entries[:i] + entries[i + 1:]
+
+
+def rewrite(cat, entries, rng):
+    """Rewrite to a normal form, drawing each step from the applicable moves."""
+    entries = tuple(entries)
+    while True:
+        moves = applicable_moves(cat, entries)
+        if not moves:
+            return entries
+        entries = apply_move(cat, entries, rng.choice(moves))
 
 
 # -- triangulation oracle ----------------------------------------------------------

@@ -5,7 +5,13 @@ import pytest
 import pgroupoid as pg
 from pgroupoid.degree import StarryWord, degree_model
 
-from helpers import load, pentagon_figure_pair, square_pair
+from helpers import (
+    MODEL_FIXTURES,
+    brute_starry_members,
+    load,
+    pentagon_figure_pair,
+    square_pair,
+)
 
 
 def _star(model, source, *legs):
@@ -53,6 +59,27 @@ def test_length_three_member_via_triangle_pullback():
     # legs (s1, s1, dT_02) factor through the triangle (s1, s2, dT_02)
     # along [3] -> [2], 0,1,2,3 -> 0,1,1,2
     assert _star(na, "0", "s1", "s1", "dT_02")
+
+
+def _symmetric_models():
+    for name in MODEL_FIXTURES:
+        model = load(name)
+        yield model if model.mode == "symmetric" else pg.symmetrize(model)
+    yield pg.nerve_truncation(pg.cyclic_group(3))
+    yield pg.nerve_truncation(pg.interval_groupoid())
+
+
+def test_starry_member_matches_pullback_oracle():
+    cases = [(model, n) for model in _symmetric_models() for n in (2, 3)]
+    cases.append((load("na_square.pgd"), 4))
+    checked = 0
+    for model, n in cases:
+        for source in model.objects:
+            members = brute_starry_members(model, source, n)
+            for legs in itertools.product(model.out_edges(source), repeat=n):
+                assert _star(model, source, *legs) == (legs in members), legs
+                checked += 1
+    assert checked > 6000
 
 
 # -- witnesses -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -186,7 +187,7 @@ def test_cli_mountain(tmp_path, capsys):
                         "--max-len", "7")
     assert code == 0
     rec = json.loads(out)
-    assert rec["witness"] == "a,b,c,r^,q^,p^,g"
+    assert rec["witness"] == "p,q,r,e^,b,c"
     code, out = run_cli(capsys, "mountain", _fx("example2.pgd"), "f", "g",
                         "--max-len", "9")
     assert code == 3
@@ -511,3 +512,80 @@ def test_cli_pairs_refuses_n_above_the_limit_before_enumerating(monkeypatch, cap
     rec = json.loads(lines[0])
     assert (rec["command"], rec["verdict"]) == ("pairs", "input-error")
     assert str(pg.polygon.MAX_GLUED_N) in rec["detail"]
+
+
+# -- malformed PGD and CAT text -------------------------------------------------
+
+_CAT_FIXTURES = ("interval.cat", "z3.cat")
+_FIXTURE_TEXT = {name: fixtures.fixture_text(name)
+                 for name in MODEL_FIXTURES + _CAT_FIXTURES}
+_TOKENS = sorted({tok for text in _FIXTURE_TEXT.values() for tok in text.split()}
+                 | {"x", "-1", "0", "^", "(", ",", "#"})
+
+
+@st.composite
+def _malformed_text(draw):
+    """A bundled fixture with a few lines or tokens dropped, inserted or replaced."""
+    name = draw(st.sampled_from(sorted(_FIXTURE_TEXT)))
+    lines = _FIXTURE_TEXT[name].splitlines()
+    token = st.sampled_from(_TOKENS)
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from(("drop line", "insert line", "replace line",
+                                       "drop token", "insert token",
+                                       "replace token")))
+        if action == "insert line" or not lines:
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, " ".join(draw(st.lists(token, min_size=1, max_size=4))))
+            continue
+        at = draw(st.integers(0, len(lines) - 1))
+        if action == "drop line":
+            del lines[at]
+        elif action == "replace line":
+            lines[at] = " ".join(draw(st.lists(token, max_size=4)))
+        else:
+            toks = lines[at].split()
+            if action == "insert token" or not toks:
+                toks.insert(draw(st.integers(0, len(toks))), draw(token))
+            else:
+                k = draw(st.integers(0, len(toks) - 1))
+                if action == "drop token":
+                    del toks[k]
+                else:
+                    toks[k] = draw(token)
+            lines[at] = " ".join(toks)
+    return name, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_malformed_text(), st.data())
+def test_cli_malformed_files_keep_the_output_contract(case, data):
+    name, text = case
+    names = st.sampled_from(text.split())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        out_path = os.path.join(tmp, "out.pgd")
+        with open(path, "w") as fh:
+            fh.write(text)
+        if name.endswith(".cat"):
+            strings = [f"({data.draw(names)})", f"({data.draw(names)})"]
+            calls = [["monoid", path, "--mult", *strings]]
+        else:
+            calls = [["validate", path], ["embeddable", path, "--max-len", "4"],
+                     ["tau", path], ["degree", path], ["pregroup", path],
+                     ["orthogonal", path, "--max-gon", "4"],
+                     ["reduce", path, "-o", out_path],
+                     ["symmetrize", path, "-o", out_path],
+                     ["reflect", path, "--max-len", "4", "-o", out_path],
+                     ["mountain", path, data.draw(names), data.draw(names),
+                      "--max-len", "4"]]
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), argv
+            assert err.getvalue() == ""
+            if argv[0] == "tau" and code == 0:
+                continue  # success prints the presentation as free text
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1, argv
+            assert json.loads(lines[0])["command"] == argv[0]

@@ -233,7 +233,6 @@ def test_mean_scan_rechecks_its_witness(monkeypatch):
 def test_mountain_rechecks_its_table_witness(monkeypatch):
     ms = example1_symmetric()
     monkeypatch.setattr(pg.words, "values", lambda model, word: frozenset({"f"}))
-    monkeypatch.setattr(pg.words, "find_zigzag", lambda *args, **kwargs: None)
     with pytest.raises(AssertionError):
         pg.mountain(ms, "f", "g", 6)
 
@@ -244,7 +243,7 @@ def test_mountain_rechecks_its_table_witness(monkeypatch):
 def test_mountain_example1_symmetrized():
     ms = example1_symmetric()
     w = pg.mountain(ms, "f", "g", 7)
-    assert w == ("a", "b", "c", "r^", "q^", "p^", "g")
+    assert w == ("p", "q", "r", "e^", "b", "c")
     assert {"f", "g"} <= pg.values(ms, w)
     assert {"f", "g"} <= brute_values(ms, w)
 
@@ -254,15 +253,18 @@ def test_mountain_absent_in_simplicial_example1():
     assert pg.mountain(m, "f", "g", 10) is None
 
 
-def test_mountain_fallback_finds_shorter_witness():
-    # the zigzag construction yields length 7, so at bound 6 the bounded
-    # exhaustive scan takes over; at bound 5 absence is exhaustive
+def test_mountain_is_the_least_word_at_every_bound():
+    # the least word with both values, by brute force over every composable
+    # word up to length 6: shortest first, then word_sort_key
     ms = example1_symmetric()
+    memo = {}
+    found = [word for word in all_composable_words(ms, 6)
+             if {"f", "g"} <= brute_values(ms, word, memo)]
+    least = min(found, key=lambda word: (len(word), word_sort_key(word)))
+    assert len(least) == 6
     assert pg.mountain(ms, "f", "g", 5) is None
-    w = pg.mountain(ms, "f", "g", 6)
-    assert w == ("p", "q", "r", "e^", "b", "c")
-    assert {"f", "g"} <= pg.values(ms, w)
-    assert {"f", "g"} <= brute_values(ms, w)
+    for bound in (6, 7, 8):
+        assert pg.mountain(ms, "f", "g", bound) == least
 
 
 def test_no_short_mountain_in_example1_symmetrized():
