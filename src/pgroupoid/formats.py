@@ -203,8 +203,19 @@ def parse_cat(text: str) -> FiniteCategory:
 
 
 def emit_cat(cat: FiniteCategory) -> str:
+    """Text that :func:`parse_cat` reads back as an equal category.
+
+    Raises :class:`FormatError` naming the first object or morphism whose
+    name the format refuses, such as the dotted composites of
+    ``path_category``.
+    """
+    for o in cat.objects:
+        if not NAME.match(o):
+            raise FormatError(f"object {o!r} has no CAT name")
     out = ["cat 1", "objects " + " ".join(cat.objects)]
     for name in cat.nonidentity_morphisms():
+        if not TOKEN.match(name):
+            raise FormatError(f"morphism {name!r} has no CAT name")
         m = cat.morphism(name)
         out.append(f"mor {name} {m.src} {m.tgt}")
     for f in cat.nonidentity_morphisms():

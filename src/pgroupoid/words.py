@@ -165,10 +165,22 @@ class ValueTable:
     index with the first letter highest, and a layer is kept only as its
     value index ``by_value[L]``: value -> set of packed words.  A word with
     several values sits in several sets.
+
+    With a ``bound``, layer ``bound`` is the last one the table builds, and
+    it holds only the value sets ``keep(reached)`` names, where ``reached``
+    is the set of values some word of that length has.  No layer is ever
+    joined from it, so every lower layer stays complete, and exhaustion is
+    still exact: the layer is empty exactly when it has no productive
+    split, whatever ``keep`` drops.  The readers keep what they can use:
+    :func:`mean_scan` the values whose parallel class reaches two values
+    at the bound, since all values of a word are parallel and a mean word
+    has two of them; :func:`mountain` the sets of f and g.
     """
 
-    def __init__(self, model: TruncatedModel):
+    def __init__(self, model: TruncatedModel, bound: int | None = None, keep=None):
         self.model = model
+        self.bound = bound
+        self.keep = keep
         self.letters = model.nonidentity_edges()
         self.bits = max(1, (len(self.letters) - 1).bit_length())
         self.by_value = [{}, {e: {i} for i, e in enumerate(self.letters)}]
@@ -176,6 +188,8 @@ class ValueTable:
 
     def layer(self, length: int) -> set[int]:
         """The packed valued words of one length, building lower layers first."""
+        if self.bound is not None and length > self.bound:
+            raise WordError(f"layer {length} lies beyond the table's bound {self.bound}")
         while len(self.by_value) <= length:
             self._build_next()
         return set().union(*self.by_value[length].values())
@@ -188,28 +202,37 @@ class ValueTable:
     def _build_next(self):
         """Layer L: for each split k and product v1·v2 = h, every word of
         length k and value v1 followed by one of length L-k and value v2
-        has value h.  After exhaustion every split meets an empty layer."""
+        has value h.  The jobs are listed first, per (k, v1) as pairs of h
+        and the v2 words; a job always yields words, so the list decides
+        emptiness before the bound's ``keep`` drops the jobs of other
+        values.  After exhaustion every split meets an empty layer."""
         size = len(self.by_value)
-        acc: dict[str, set[int]] = {}
+        jobs = []
         for k in range(1, size):
             right = self.by_value[size - k]
-            shift = self.bits * (size - k)
-            for v1, left in self.by_value[k].items():
-                shifted = None
-                for v2, h in self.model.products_from(v1).items():
-                    words = right.get(v2)
-                    if words is None:
-                        continue
-                    if shifted is None:
-                        shifted = [w << shift for w in left]
-                    target = acc.get(h)
-                    if target is None:
-                        target = acc[h] = set()
-                    target.update(starmap(or_, product(shifted, words)))
-        self.by_value.append(acc)
-        window = range((size + 1) // 2, size + 1)
-        if all(not self.by_value[j] for j in window):
+            for v1 in self.by_value[k]:
+                pairs = [(h, right[v2]) for v2, h in self.model.products_from(v1).items()
+                         if v2 in right]
+                if pairs:
+                    jobs.append((k, v1, pairs))
+        if not jobs and not any(self.by_value[(size + 1) // 2:]):
             self._exhausted = True
+        if size == self.bound:
+            kept = self.keep({h for _, _, pairs in jobs for h, _ in pairs})
+            jobs = [(k, v1, [pair for pair in pairs if pair[0] in kept])
+                    for k, v1, pairs in jobs]
+        acc: dict[str, set[int]] = {}
+        for k, v1, pairs in jobs:
+            if not pairs:
+                continue
+            shift = self.bits * (size - k)
+            shifted = [w << shift for w in self.by_value[k][v1]]
+            for h, words in pairs:
+                target = acc.get(h)
+                if target is None:
+                    target = acc[h] = set()
+                target.update(starmap(or_, product(shifted, words)))
+        self.by_value.append(acc)
 
     def exhausted_at(self, length: int) -> bool:
         """True when every layer beyond ``length`` is known to be empty.
@@ -220,15 +243,21 @@ class ValueTable:
         return self._exhausted
 
 
-def _picked_words(table: ValueTable, max_len: int, pick):
-    """Scan the layers 2..max_len of ``table`` for the words ``pick`` wants.
+def _picked_words(table: ValueTable, pick):
+    """Scan the layers 2..``table.bound`` for the words ``pick`` wants.
 
     ``pick(index, layer)`` gets one layer's value index and its packed
     words and returns the packed words it wants.  For each layer where it
     returns some, yield the index and the (word, packed word) pairs in
     canonical order.  Each layer is built and fetched exactly once.
+
+    The last layer holds only the value sets the table's ``keep`` names,
+    each of them complete.  That is sound when ``pick`` and its caller
+    read only kept sets there: a mean word has all of its values in kept
+    classes, so it is found with its full value set, and a mountain of f
+    and g needs only their two sets.
     """
-    for length in range(2, max_len + 1):
+    for length in range(2, table.bound + 1):
         layer = table.layer(length)
         index = table.by_value[length]
         picked = pick(index, layer)
@@ -245,6 +274,18 @@ def _mean_words(index, layer):
         return ()
     counts = Counter(chain.from_iterable(index.values()))
     return [w for w, n in counts.items() if n > 1]
+
+
+def _parallel_values(model: TruncatedModel, reached):
+    """The values in ``reached`` that share source and target with another.
+
+    All values of one word are parallel, so a mean word of some length has
+    two values in one parallel class of the values reached at that length;
+    its values all lie in classes this keeps.
+    """
+    ends = {h: (model.edge(h).src, model.edge(h).tgt) for h in reached}
+    counts = Counter(ends.values())
+    return {h for h, pair in ends.items() if counts[pair] > 1}
 
 
 # -- mean/kind scan ------------------------------------------------------------
@@ -274,12 +315,18 @@ class MeanScanResult:
 
 def mean_scan(model: TruncatedModel, max_len: int, *,
               collect_all: bool = False) -> MeanScanResult:
-    """Search composable words of length 2..max_len for a mean word."""
+    """Search composable words of length 2..max_len for a mean word.
+
+    Layer ``max_len`` keeps only the values of parallel classes that reach
+    two values at that length (:func:`_parallel_values`): a class with one
+    reachable value holds no mean word there, and no longer layer is built.
+    """
     if max_len < 2:
         raise WordError("mean scan needs max_len >= 2")
     result = MeanScanResult(bound=max_len)
     sad: set[str] = set()
-    for index, picked in _picked_words(ValueTable(model), max_len, _mean_words):
+    table = ValueTable(model, max_len, lambda reached: _parallel_values(model, reached))
+    for index, picked in _picked_words(table, _mean_words):
         if result.witness is None:
             word, packed = picked[0]
             result.witness = word
@@ -433,8 +480,9 @@ def mountain(model: TruncatedModel, f: str, g: str,
     For f = g the degenerate word (id, f) does the job.  Otherwise the
     bounded scan of :class:`ValueTable` decides, so the witness is the
     shortest such word, first in :func:`word_sort_key` order, and an absent
-    verdict is exhaustive at the bound.  The witness is re-checked with
-    :func:`values` before it is returned.
+    verdict is exhaustive at the bound.  Layer ``max_len`` keeps only the
+    value sets of f and g, and only when both are reachable there.  The
+    witness is re-checked with :func:`values` before it is returned.
     """
     ef, eg = model.edge(f), model.edge(g)
     if (ef.src, ef.tgt) != (eg.src, eg.tgt):
@@ -447,7 +495,10 @@ def mountain(model: TruncatedModel, f: str, g: str,
     def both(index, layer):
         return index.get(f, set()) & index.get(g, set())
 
-    for _, picked in _picked_words(ValueTable(model), max_len, both):
+    def ends(reached):
+        return {f, g} if {f, g} <= reached else ()
+
+    for _, picked in _picked_words(ValueTable(model, max_len, ends), both):
         word = picked[0][0]
         if not {f, g} <= values(model, word):
             raise AssertionError(f"mountain {word} fails its values re-check")

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the code paths they check: word values and
 contractibility are recomputed by enumerating one-step contraction
-sequences, triangulations by filtering non-crossing diagonal subsets,
+sequences, bounded scans are read off layers all built in full,
+triangulations by filtering non-crossing diagonal subsets,
 starry membership by enumerating pullbacks of simplices, normal forms by
 rewriting in random order, and categories come from a pool of
 hand-rolled constructions.
@@ -10,11 +11,13 @@ hand-rolled constructions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pgroupoid as pg
 from pgroupoid import fixtures
 from pgroupoid.category import FiniteCategory, IDENTITY_PREFIX
 from pgroupoid.model import orbit_images
+from pgroupoid.words import ValueTable, word_sort_key
 
 
 # -- contraction-sequence oracle -------------------------------------------------
@@ -80,6 +83,59 @@ def all_composable_words(model, max_len, include_identities=False):
 
     for e in starts:
         yield from extend((e,))
+
+
+# -- full-layer scan oracle -------------------------------------------------------
+
+
+class FullScan:
+    """``mean_scan`` and ``mountain`` read off layers that are all built in full.
+
+    An unbounded ``ValueTable`` (checked against contraction sequences in
+    ``test_words``) builds every layer 2..max_len whole, the last one too,
+    and no exhaustion shortcut is taken.  The bounded scan, whose last
+    layer keeps only the value sets its reader can use, must give the same
+    answers at every bound up to ``max_len``.
+    """
+
+    def __init__(self, model, max_len):
+        self.table = table = ValueTable(model)
+        table.layer(max_len)
+        self.layers = {}  # length -> (value index, packed mean words)
+        for length in range(2, max_len + 1):
+            index = table.by_value[length]
+            seen = Counter(itertools.chain.from_iterable(index.values()))
+            self.layers[length] = index, {w for w, n in seen.items() if n > 1}
+
+    def _least(self, words, length):
+        return min(((self.table.decode(w, length), w) for w in words),
+                   key=lambda pair: word_sort_key(pair[0]))
+
+    def mean_scan(self, bound, collect_all=False):
+        """The tuple (witness, witness_values, sad_edges, mean_word_count)."""
+        witness, witness_values, sad, count = None, (), set(), 0
+        for length in range(2, bound + 1):
+            index, mean = self.layers[length]
+            if not mean:
+                continue
+            if witness is None:
+                witness, packed = self._least(mean, length)
+                witness_values = tuple(sorted(v for v, ws in index.items() if packed in ws))
+            found = mean if collect_all else {packed}
+            count += len(found)
+            sad.update(v for v, ws in index.items() if not ws.isdisjoint(found))
+            if not collect_all:
+                break
+        return witness, witness_values, tuple(sorted(sad)), count
+
+    def mountain(self, f, g, bound):
+        """The least word with values f and g (distinct), or None."""
+        for length in range(2, bound + 1):
+            index, _ = self.layers[length]
+            both = index.get(f, set()) & index.get(g, set())
+            if both:
+                return self._least(both, length)[0]
+        return None
 
 
 # -- starry-membership oracle -------------------------------------------------------
@@ -180,6 +236,11 @@ def oracle_diagonal_sets(n):
 
 
 # -- random sub-nerves --------------------------------------------------------------
+
+
+# the groupoids whose nerves the property tests draw sub-nerves from
+SUB_NERVE_GROUPOIDS = (pg.cyclic_group(2), pg.cyclic_group(3), pg.cyclic_group(4),
+                       pg.pair_groupoid(["a", "b"]), pg.pair_groupoid(["a", "b", "c"]))
 
 
 def sub_nerve(nerve, rng, edge_p, tri_p):

@@ -12,6 +12,7 @@ from pgroupoid.monoid import reduce_model
 
 from helpers import (
     MODEL_FIXTURES,
+    SUB_NERVE_GROUPOIDS,
     load,
     oracle_diagonal_sets,
     pentagon_figure_pair,
@@ -523,15 +524,11 @@ def test_class_walk_matches_per_pair_walk_at_gon_five():
     assert len(positions) >= 3
 
 
-_NERVES = (pg.cyclic_group(2), pg.cyclic_group(3), pg.cyclic_group(4),
-           pg.pair_groupoid(["a", "b"]), pg.pair_groupoid(["a", "b", "c"]))
-
-
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(range(len(_NERVES))), st.integers(0, 2**32),
+@given(st.sampled_from(range(len(SUB_NERVE_GROUPOIDS))), st.integers(0, 2**32),
        st.floats(0.5, 1.0), st.floats(0.5, 1.0))
 def test_class_walk_matches_per_pair_walk_on_sub_nerves(which, seed, edge_p, tri_p):
-    nerve = pg.nerve_truncation(_NERVES[which])
+    nerve = pg.nerve_truncation(SUB_NERVE_GROUPOIDS[which])
     model = sub_nerve(nerve, random.Random(seed), edge_p, tri_p)
     assert model.validate().ok
     assert _check_against_per_pair_walk(model, 5).ok

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,9 @@ import pgroupoid as pg
 from pgroupoid.words import ValueTable, word_sort_key
 
 from helpers import (
+    FullScan,
+    MODEL_FIXTURES,
+    SUB_NERVE_GROUPOIDS,
     all_composable_words,
     brute_contracts_to,
     brute_values,
@@ -14,6 +18,7 @@ from helpers import (
     horn_symmetric,
     load,
     pentagon_figure_pair,
+    sub_nerve,
 )
 
 
@@ -235,6 +240,164 @@ def test_mountain_rechecks_its_table_witness(monkeypatch):
     monkeypatch.setattr(pg.words, "values", lambda model, word: frozenset({"f"}))
     with pytest.raises(AssertionError):
         pg.mountain(ms, "f", "g", 6)
+
+
+# -- the layer at the bound ----------------------------------------------------------
+
+
+SCAN_BOUNDS = range(2, 8)
+
+
+def _fixture_models():
+    for name in MODEL_FIXTURES:
+        model = load(name)
+        yield name, model
+        if model.mode == pg.model.SIMPLICIAL:
+            yield f"{name} symmetrized", pg.symmetrize(model)
+    yield "Z3 nerve", pg.nerve_truncation(pg.cyclic_group(3))
+    yield "Z5 nerve", pg.nerve_truncation(pg.cyclic_group(5))
+    yield "pair(3) nerve", pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c"]))
+
+
+def _na_gluings(max_n):
+    for n in range(3, max_n + 1):
+        tris = pg.enumerate_triangulations(n)
+        for i, t in enumerate(tris):
+            for j, t2 in enumerate(tris):
+                if pg.pair_classify(t, t2) != pg.INCOMPATIBLE:
+                    yield f"NA({n}; {i}, {j})", pg.build_glued(t, t2).model
+
+
+def _parallel_pairs(model):
+    ends = {e: (model.edge(e).src, model.edge(e).tgt) for e in model.edges}
+    return [(f, g) for f, g in combinations(sorted(model.edges), 2) if ends[f] == ends[g]]
+
+
+def _check_scan_against_full_layers(model, bounds=SCAN_BOUNDS):
+    """mean_scan (both modes) and mountain on every parallel pair agree with
+    the full-layer oracle at every bound; returns how many answers were
+    mean witnesses or mountains."""
+    full = FullScan(model, max(bounds))
+    pairs = _parallel_pairs(model)
+    found = 0
+    for bound in bounds:
+        for collect_all in (False, True):
+            scan = pg.mean_scan(model, bound, collect_all=collect_all)
+            got = (scan.witness, scan.witness_values, scan.sad_edges, scan.mean_word_count)
+            assert got == full.mean_scan(bound, collect_all), (bound, collect_all)
+            found += not scan.is_kind
+        for f, g in pairs:
+            word = pg.mountain(model, f, g, bound)
+            assert word == full.mountain(f, g, bound), (f, g, bound)
+            found += word is not None
+    return found
+
+
+@pytest.mark.parametrize("name, model", list(_fixture_models()),
+                         ids=[name for name, _ in _fixture_models()])
+def test_bounded_scan_matches_full_layers_on_fixtures(name, model):
+    _check_scan_against_full_layers(model)
+
+
+def test_bounded_scan_matches_full_layers_on_na_gluings():
+    # the 108 hexagon gluings stop at bound 6: a full layer 7 of one of them
+    # holds up to 240,000 words, and building them all would take most of a
+    # minute; the other inputs still reach bound 7
+    found = {name: _check_scan_against_full_layers(
+        model, SCAN_BOUNDS if name.startswith(("NA(3;", "NA(4;")) else range(2, 7))
+        for name, model in _na_gluings(5)}
+    assert len(found) == 124
+    # every NA gluing is mean at its spine length, which is one of the bounds
+    assert all(found.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(range(len(SUB_NERVE_GROUPOIDS))), st.integers(0, 2**32),
+       st.floats(0.5, 1.0), st.floats(0.5, 1.0))
+def test_bounded_scan_matches_full_layers_on_sub_nerves(which, seed, edge_p, tri_p):
+    nerve = pg.nerve_truncation(SUB_NERVE_GROUPOIDS[which])
+    model = sub_nerve(nerve, random.Random(seed), edge_p, tri_p)
+    _check_scan_against_full_layers(model)
+
+
+def _scan_layers(monkeypatch, scan):
+    """(length, size, exhausted_at) of every layer one scan fetches."""
+    seen = []
+    build = ValueTable.layer
+
+    def recording_layer(table, length):
+        out = build(table, length)
+        seen.append((length, len(out), table.exhausted_at(length)))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ValueTable, "layer", recording_layer)
+        scan()
+    return seen
+
+
+def _ascending_half():
+    """The simplicial model on the edges of a pair(4) sub-nerve that go up
+    in object order, with the stored triangles among them; its words
+    climb, so its layers run out."""
+    model = sub_nerve(pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c", "d"])),
+                      random.Random(3), 0.9, 0.9)
+    edges = [(name, model.edge(name).src, model.edge(name).tgt)
+             for name in model.nonidentity_edges()]
+    edges = [(name, src, tgt) for name, src, tgt in edges if src < tgt]
+    names = {name for name, _, _ in edges}
+    triangles = [t for t in model.triangles if set(t) <= names]
+    return pg.TruncatedModel.simplicial(model.objects, edges, triangles)
+
+
+def _exhaustion_models():
+    yield from _fixture_models()
+    yield "ascending half of a pair(4) sub-nerve", _ascending_half()
+
+
+def _full_exhaustion(model, max_len):
+    table = ValueTable(model)
+    return [(L, len(table.layer(L)), table.exhausted_at(L)) for L in range(2, max_len + 1)]
+
+
+@pytest.mark.parametrize("name, model", list(_exhaustion_models()),
+                         ids=[name for name, _ in _exhaustion_models()])
+def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, model):
+    full = _full_exhaustion(model, max(SCAN_BOUNDS))
+    pairs = _parallel_pairs(model)[:3]
+    for bound in SCAN_BOUNDS:
+        scans = [lambda: pg.mean_scan(model, bound, collect_all=True)]
+        scans += [lambda f=f, g=g: pg.mountain(model, f, g, bound) for f, g in pairs]
+        for scan in scans:
+            seen = _scan_layers(monkeypatch, scan)
+            if seen[-1][0] < bound:
+                # a scan stops early only on exhaustion (mountain also on a find)
+                assert seen[-1][2] or scan is not scans[0]
+            *below, top = seen
+            assert below == full[:len(below)]
+            length, size, exhausted = top
+            assert exhausted == full[length - 2][2]
+            if length < bound:
+                assert size == full[length - 2][1]
+            else:
+                assert size <= full[length - 2][1]
+
+
+def test_exhaustion_closes_on_the_last_layer():
+    # example1 and the half have words up to length 3, so for both, layers
+    # 4..7 are the first empty dyadic window
+    for model in (load("example1.pgd"), _ascending_half()):
+        full = _full_exhaustion(model, 7)
+        assert [size > 0 for _, size, _ in full] == [True, True] + [False] * 4
+        assert [e for _, _, e in full] == [False] * 5 + [True]
+        table = ValueTable(model, 7, lambda reached: set())
+        table.layer(7)
+        assert table.exhausted_at(7) and not table.by_value[7]
+    # a layer at the bound that keeps nothing is not an empty layer
+    table = ValueTable(load("a_square.pgd"), 7, lambda reached: set())
+    assert not table.layer(7) and not table.exhausted_at(7)
+    with pytest.raises(pg.WordError):
+        table.layer(8)
 
 
 # -- mountains ---------------------------------------------------------------------
