@@ -308,14 +308,18 @@ def build_glued(t: Triangulation, t2: Triangulation,
         raise GluingError("NA gluing needs a compatible pair")
     if variant == "a" and cls != WELL_BEHAVED:
         raise GluingError("A gluing needs a well-behaved pair")
-    circular = variant == "a"
-    model = build_raw_gluing(t, t2, circular=circular)
-    report = model.validate()
+    glued = _glued_model(t, t2, variant)
+    report = glued.model.validate()
     if not report.ok:
         raise GluingError(f"gluing is not spiny: {report.summary()}")
+    return glued
+
+
+def _glued_model(t: Triangulation, t2: Triangulation, variant: str) -> GluedModel:
+    circular = variant == "a"
     n = t.n
     return GluedModel(
-        model=model,
+        model=build_raw_gluing(t, t2, circular=circular),
         n=n,
         variant=variant,
         t=t,
@@ -473,13 +477,19 @@ def orthogonality_check(target: TruncatedModel, max_n: int) -> OrthogonalityResu
     inverse value.  Both maps are bijections on spine words that keep
     "the long edges differ", so a class shares its hom count, and a
     class with a splitting word is first violated at its first member.
+
+    Reused per process, since none of it depends on the target: the class
+    table, each walked pair's plan (:func:`_walk_plan`) and the NA gluing
+    of the last few violating pairs (:func:`_na_gluing`).  Built once per
+    call: the target's product rows, out-edges and edge ends.  Re-checked
+    on every call: the violator's hom, by :func:`_splitting_hom`.
     """
     if not 3 <= max_n <= MAX_GLUED_N:
         raise TriangulationError(
             f"orthogonality needs 3 <= max_n <= {MAX_GLUED_N}, got {max_n}")
     if target.mode != SYMMETRIC:
         raise ModelError("orthogonality check needs a symmetric target")
-    rows = {e: target.products_from(e) for e in target.edges}
+    tables = _walk_tables(target)
     pairs = homs = 0
     for n in range(3, max_n + 1):
         counts = []  # hom count per class, classes numbered by first member
@@ -488,7 +498,7 @@ def orthogonality_check(target: TruncatedModel, max_n: int) -> OrthogonalityResu
             if cls < len(counts):
                 homs += counts[cls]
                 continue
-            count, splitting = _spine_words(target, rows, t, t2)
+            count, splitting = _spine_words(tables, t, t2)
             counts.append(count)
             homs += count
             if splitting:
@@ -519,13 +529,16 @@ def _pair_classes(n: int) -> tuple[tuple[Triangulation, Triangulation, int], ...
     return tuple(out)
 
 
-def _spine_words(target, rows, t, t2):
-    """Count the spine words of homs NA(T, T') -> target; list the splitting ones.
+@lru_cache(maxsize=2048)
+def _walk_plan(t: Triangulation, t2: Triangulation):
+    """How :func:`_spine_words` walks the pair (T, T'), as slot numbers.
 
     Slots hold chord values, one table per triangulation with the sides
-    shared.  Fixing letter k evaluates every chord (i, k) of both
-    triangulations, shorter chords first, and prunes on an undefined
-    product.
+    shared.  Returns the slot count, the leaf slot of each letter, the two
+    long-edge slots and, per letter k, the (chord, left, right) slots of
+    every chord (i, k + 1) of both triangulations, shorter chords first.
+    Only a class's first pair is walked; 2048 holds the 1,947 classes with
+    n <= 7.
     """
     n = t.n
     size = (n + 1) * (n + 1)
@@ -537,17 +550,36 @@ def _spine_words(target, rows, t, t2):
     for copy, tri in enumerate((t, t2)):
         for i, j, k in sorted(tri.triples, reverse=True):
             steps[k].append((slot(copy, i, k), slot(copy, i, j), slot(copy, j, k)))
-    leaves = [slot(0, k, k + 1) for k in range(n)]
-    long1, long2 = slot(0, 0, n), slot(1, 0, n)
-    out = {o: target.out_edges(o) for o in target.objects}
-    tgt = {name: e.tgt for name, e in target.edges.items()}
-    val = [None] * (2 * size)
+    leaves = tuple(slot(0, k, k + 1) for k in range(n))
+    return (2 * size, leaves, slot(0, 0, n), slot(1, 0, n),
+            tuple(tuple(chords) for chords in steps[1:]))
+
+
+def _walk_tables(target):
+    """What a spine walk reads off the target: each edge's product row,
+    each object's out-edges and each edge's target."""
+    return ({e: target.products_from(e) for e in target.edges},
+            {o: target.out_edges(o) for o in target.objects},
+            {name: e.tgt for name, e in target.edges.items()})
+
+
+def _spine_words(tables, t, t2):
+    """Count the spine words of homs NA(T, T') -> target; list the splitting ones.
+
+    ``tables`` is :func:`_walk_tables` of the target.  Fixing letter k
+    evaluates every chord (i, k) of both triangulations, shorter chords
+    first, and prunes on an undefined product.
+    """
+    rows, out, tgt = tables
+    slots, leaves, long1, long2, steps = _walk_plan(t, t2)
+    n = len(leaves)
+    val = [None] * slots
     count = 0
     splitting = []
 
     def extend(k, obj):
         nonlocal count
-        leaf, chords = leaves[k], steps[k + 1]
+        leaf, chords = leaves[k], steps[k]
         for letter in out[obj]:
             val[leaf] = letter
             for dst, a, b in chords:
@@ -563,7 +595,7 @@ def _spine_words(target, rows, t, t2):
                 if val[long1] != val[long2]:
                     splitting.append(tuple(val[s] for s in leaves))
 
-    for obj in target.objects:
+    for obj in out:
         extend(0, obj)
     return count, splitting
 
@@ -573,9 +605,10 @@ def _splitting_hom(target, t, t2, word) -> Hom:
 
     Two paths check it: :func:`verify_hom` with the long-edge split, and
     the interval DP of :func:`words.values`, which must hold both long-edge
-    images among the word's values.
+    images among the word's values.  Both run on every call; only the
+    gluing NA(T, T') is reused, from :func:`_na_gluing`.
     """
-    glued = build_glued(t, t2, variant="na")
+    glued = _na_gluing(t, t2)
     hom = _hom_from_evaluation(glued, target, word)
     images = {hom.edge(glued.long_t), hom.edge(glued.long_t2)}
     if not verify_hom(glued.model, target, hom) or len(images) != 2:
@@ -583,6 +616,21 @@ def _splitting_hom(target, t, t2, word) -> Hom:
     if not images <= _words.values(target, word):
         raise AssertionError(f"spine word {word} does not take the values {sorted(images)}")
     return hom
+
+
+@lru_cache(maxsize=32)
+def _na_gluing(t: Triangulation, t2: Triangulation) -> GluedModel:
+    """The NA gluing of a violating pair, for :func:`_splitting_hom` only.
+
+    A check stops at the first violated pair, which is always the first
+    member of its class, so few pairs ever get here; 32 holds the 27
+    classes with n <= 5.  The pair comes from
+    :func:`_pair_classes`, so it is well-behaved and its gluing is spiny:
+    :func:`build_glued`'s ``validate`` could not fail, and is not run.
+    The gluing never leaves the module: :func:`_splitting_hom` returns a
+    hom into the target, and :func:`build_glued` builds a fresh model.
+    """
+    return _glued_model(t, t2, "na")
 
 
 def violator_from_mean_word(target: TruncatedModel, word) -> tuple[

@@ -248,8 +248,9 @@ def _picked_words(table: ValueTable, pick):
 
     ``pick(index, layer)`` gets one layer's value index and its packed
     words and returns the packed words it wants.  For each layer where it
-    returns some, yield the index and the (word, packed word) pairs in
-    canonical order.  Each layer is built and fetched exactly once.
+    returns some, yield the length, the index and those packed words.
+    Each layer is built and fetched exactly once; :func:`_least_word`
+    decodes the one word a reader reads.
 
     The last layer holds only the value sets the table's ``keep`` names,
     each of them complete.  That is sound when ``pick`` and its caller
@@ -262,10 +263,16 @@ def _picked_words(table: ValueTable, pick):
         index = table.by_value[length]
         picked = pick(index, layer)
         if picked:
-            pairs = [(table.decode(w, length), w) for w in picked]
-            yield index, sorted(pairs, key=lambda pair: word_sort_key(pair[0]))
+            yield length, index, picked
         if table.exhausted_at(length):
             return
+
+
+def _least_word(table: ValueTable, length: int, picked):
+    """The first of the packed words ``picked`` in :func:`word_sort_key`
+    order, as (word, packed word)."""
+    return min(((table.decode(w, length), w) for w in picked),
+               key=lambda pair: word_sort_key(pair[0]))
 
 
 def _mean_words(index, layer):
@@ -326,15 +333,15 @@ def mean_scan(model: TruncatedModel, max_len: int, *,
     result = MeanScanResult(bound=max_len)
     sad: set[str] = set()
     table = ValueTable(model, max_len, lambda reached: _parallel_values(model, reached))
-    for index, picked in _picked_words(table, _mean_words):
+    for length, index, picked in _picked_words(table, _mean_words):
         if result.witness is None:
-            word, packed = picked[0]
+            word, packed = _least_word(table, length, picked)
             result.witness = word
             result.witness_values = tuple(sorted(
                 v for v, ws in index.items() if packed in ws))
             if tuple(sorted(values(model, word))) != result.witness_values:
                 raise AssertionError(f"mean witness {word} fails its values re-check")
-        found = {packed for _, packed in (picked if collect_all else picked[:1])}
+        found = set(picked) if collect_all else {packed}
         result.mean_word_count += len(found)
         sad.update(v for v, ws in index.items() if not ws.isdisjoint(found))
         if not collect_all:
@@ -498,8 +505,9 @@ def mountain(model: TruncatedModel, f: str, g: str,
     def ends(reached):
         return {f, g} if {f, g} <= reached else ()
 
-    for _, picked in _picked_words(ValueTable(model, max_len, ends), both):
-        word = picked[0][0]
+    table = ValueTable(model, max_len, ends)
+    for length, _, picked in _picked_words(table, both):
+        word, _ = _least_word(table, length, picked)
         if not {f, g} <= values(model, word):
             raise AssertionError(f"mountain {word} fails its values re-check")
         return word

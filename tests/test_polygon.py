@@ -178,6 +178,18 @@ def test_raw_gluing_validates_iff_compatible():
                 assert ok == (pg.pair_classify(t, t2) != pg.INCOMPATIBLE)
 
 
+def test_reused_violator_gluings_are_the_validated_ones():
+    # a violated pair is always the first member of its class
+    for n in (3, 4, 5, 6):
+        seen = set()
+        for t, t2, cls in pg.polygon._pair_classes(n):
+            if cls in seen:
+                continue
+            seen.add(cls)
+            glued = pg.build_glued(t, t2)
+            assert pg.polygon._na_gluing(t, t2) == glued
+
+
 def test_circular_gluing_validates_iff_well_behaved():
     for n in (3, 4):
         tris = pg.enumerate_triangulations(n)
@@ -284,12 +296,27 @@ def test_orthogonality_na_square_identity_violator():
     assert hom.is_identity()
 
 
+def _raises_on_a_reused_gluing(target, max_n):
+    """The check raises AssertionError although its violator's gluing is
+    reused, not rebuilt."""
+    reused = pg.polygon._na_gluing.cache_info().hits
+    with pytest.raises(AssertionError):
+        pg.orthogonality_check(target, max_n)
+    assert pg.polygon._na_gluing.cache_info().hits == reused + 1
+
+
 def test_orthogonality_rechecks_its_violator_with_values(monkeypatch):
     na = pg.fixtures.load_model("na_pentagon.pgd")
     assert not pg.orthogonality_check(na, 4).ok
     monkeypatch.setattr(pg.words, "values", lambda model, word: frozenset({"lT"}))
-    with pytest.raises(AssertionError):
-        pg.orthogonality_check(na, 4)
+    _raises_on_a_reused_gluing(na, 4)
+
+
+def test_orthogonality_rechecks_its_violator_with_verify_hom(monkeypatch):
+    na = pg.fixtures.load_model("na_square.pgd")
+    assert not pg.orthogonality_check(na, 3).ok
+    monkeypatch.setattr(pg.polygon, "verify_hom", lambda source, target, hom: False)
+    _raises_on_a_reused_gluing(na, 3)
 
 
 def test_orthogonality_refuses_gon_bounds_outside_the_gluing_range(monkeypatch):
@@ -482,7 +509,7 @@ def test_spine_word_search_matches_generic_hom_search():
 def _per_pair_orthogonality(target, max_n):
     """Walk the spine words of every well-behaved pair; the violator is the
     least splitting word of the first pair that has one."""
-    rows = {e: target.products_from(e) for e in target.edges}
+    tables = pg.polygon._walk_tables(target)
     pairs = homs = 0
     for n in range(3, max_n + 1):
         tris = pg.enumerate_triangulations(n)
@@ -491,7 +518,7 @@ def _per_pair_orthogonality(target, max_n):
                 if pg.pair_classify(t, t2) != pg.WELL_BEHAVED:
                     continue
                 pairs += 1
-                count, splitting = pg.polygon._spine_words(target, rows, t, t2)
+                count, splitting = pg.polygon._spine_words(tables, t, t2)
                 homs += count
                 if splitting:
                     word = min(splitting, key=pg.words.word_sort_key)
@@ -505,6 +532,32 @@ def _check_against_per_pair_walk(target, max_n):
     expected = _per_pair_orthogonality(target, max_n)
     assert (res.ok, res.pairs_checked, res.homs_checked, res.violator) == expected
     return res
+
+
+def test_reused_violator_gluing_never_leaks():
+    t, t2 = square_pair()
+    first, second = pg.build_glued(t, t2), pg.build_glued(t, t2)
+    assert first is not second and first.model is not second.model
+    # NA(4; 0, 3) and NA(4; 1, 2) both violate first on one pentagon pair
+    tris = pg.enumerate_triangulations(4)
+    targets = [pg.build_glued(tris[0], tris[3]).model,
+               pg.build_glued(tris[1], tris[2]).model]
+    expected = []
+    for target in targets:
+        pg.polygon._na_gluing.cache_clear()
+        expected.append(_per_pair_orthogonality(target, 4))
+    assert expected[0][3][:2] == expected[1][3][:2]
+    assert expected[0][3][2] != expected[1][3][2]
+    for order in ((0, 1), (1, 0)):
+        pg.polygon._na_gluing.cache_clear()
+        for which in order:
+            res = pg.orthogonality_check(targets[which], 4)
+            assert (res.ok, res.pairs_checked, res.homs_checked,
+                    res.violator) == expected[which]
+            vt, vt2, hom = res.violator
+            fresh = pg.build_glued(vt, vt2)
+            assert fresh is not pg.polygon._na_gluing(vt, vt2)
+            assert pg.verify_hom(fresh.model, targets[which], hom)
 
 
 def test_class_walk_matches_per_pair_walk_at_gon_five():
@@ -544,10 +597,10 @@ def test_swapped_and_mirrored_pairs_have_the_same_spine_words():
                pg.nerve_truncation(pg.cyclic_group(3)))
     splitting_pairs = 0
     for target in targets:
-        rows = {e: target.products_from(e) for e in target.edges}
+        tables = pg.polygon._walk_tables(target)
 
         def walk(t, t2):
-            count, splitting = pg.polygon._spine_words(target, rows, t, t2)
+            count, splitting = pg.polygon._spine_words(tables, t, t2)
             return count, set(splitting)
 
         for n in (3, 4, 5):
@@ -582,8 +635,9 @@ def test_pair_classes_split_the_well_behaved_pairs():
 def test_import_builds_no_pair_class_table():
     src = pathlib.Path(pg.__file__).resolve().parents[1]
     code = ("import pgroupoid.cli, pgroupoid.polygon as polygon\n"
-            "print(polygon._pair_classes.cache_info().currsize)")
+            "for cache in (polygon._pair_classes, polygon._walk_plan, polygon._na_gluing):\n"
+            "    print(cache.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)},
                           check=True)
-    assert done.stdout.strip() == "0"
+    assert done.stdout.split() == ["0", "0", "0"]
