@@ -122,6 +122,9 @@ def cmd_symmetrize(args):
 
 
 def cmd_na(args):
+    if not 2 <= args.n <= polygon.MAX_GLUED_N:
+        raise polygon.TriangulationError(
+            f"na supports 2 <= n <= {polygon.MAX_GLUED_N} only")
     tris = polygon.enumerate_triangulations(args.n)
     if not (0 <= args.i < len(tris) and 0 <= args.j < len(tris)):
         raise polygon.TriangulationError(

@@ -41,6 +41,16 @@ class HomError(ValueError):
     """Invalid map data between models."""
 
 
+def word_sort_key(word):
+    """Canonical order on same-length words: positively oriented first.
+
+    Words with fewer inverse-marked letters come first, ties broken
+    lexicographically, so spine-style witnesses beat their inverted
+    variants.  Triangles, read as words (f, g, h), use the same order.
+    """
+    return (sum(1 for t in word if t.endswith("^")), word)
+
+
 def identity_name(obj: str) -> str:
     return IDENTITY_PREFIX + obj
 
@@ -150,9 +160,7 @@ class TruncatedModel:
             else:
                 edges.append(Edge(name, src, tgt, inv=name + "^"))
                 edges.append(Edge(name + "^", tgt, src, inv=name))
-        model = cls(SYMMETRIC, objects, edges, ())
-        closed = model._close_triangles(triangles)
-        return cls(SYMMETRIC, objects, edges, closed)
+        return cls.closed(objects, edges, triangles)
 
     @classmethod
     def simplicial(cls, objects, edge_triples, triangles=()):
@@ -164,6 +172,13 @@ class TruncatedModel:
         model = cls(SIMPLICIAL, objects, edges, ())
         kept = [t for t in triangles if model._degenerate_value(t[0], t[1]) != t[2]]
         return cls(SIMPLICIAL, objects, edges, kept)
+
+    @classmethod
+    def closed(cls, objects, edges, triangles):
+        """A symmetric model whose triangle table is the orbit closure of
+        ``triangles`` (see :meth:`_close_triangles`)."""
+        shell = cls(SYMMETRIC, objects, edges, ())
+        return cls(SYMMETRIC, objects, edges, shell._close_triangles(triangles))
 
     def _close_triangles(self, triangles):
         """Orbit closure with degenerate-consistent triples normalized away.
@@ -346,37 +361,46 @@ class TruncatedModel:
     def validate(self) -> ValidationReport:
         """Check spininess, orbit closure, involution, and cancellation laws."""
         violations = list(self._involution_faults)
-        spine_map = {}
-        for t in sorted(self.triangles):
+        for t, product in self._spine_faults():
             f, g, h = t
-            dv = self._degenerate_value(f, g)
-            if dv is not None:
-                if dv != h:
-                    violations.append(Violation(
-                        "spine-collision",
-                        f"triangle ({f},{g},{h}) collides with the degenerate "
-                        f"spine ({f},{g}) -> {dv}",
-                        witness=(t,),
-                    ))
-                else:
-                    violations.append(Violation(
-                        "degenerate-stored",
-                        f"degenerate triangle ({f},{g},{h}) must not be stored",
-                        witness=(t,),
-                    ))
-                continue
-            if (f, g) in spine_map and spine_map[(f, g)] != h:
+            if self._degenerate_value(f, g) is None:
                 violations.append(Violation(
                     "spine-collision",
-                    f"spine ({f},{g}) has two long edges "
-                    f"{spine_map[(f, g)]} and {h}",
-                    witness=((f, g, spine_map[(f, g)]), t),
+                    f"spine ({f},{g}) has two long edges {product} and {h}",
+                    witness=((f, g, product), t),
                 ))
-            spine_map.setdefault((f, g), h)
+            elif product == h:
+                violations.append(Violation(
+                    "degenerate-stored",
+                    f"degenerate triangle ({f},{g},{h}) must not be stored",
+                    witness=(t,),
+                ))
+            else:
+                violations.append(Violation(
+                    "spine-collision",
+                    f"triangle ({f},{g},{h}) collides with the degenerate "
+                    f"spine ({f},{g}) -> {product}",
+                    witness=(t,),
+                ))
         if self.mode == SYMMETRIC and not self._involution_faults:
             violations.extend(self._validate_orbits())
             violations.extend(self._validate_cancellation())
         return ValidationReport(not violations, violations)
+
+    def _spine_faults(self):
+        """Stored triangles whose spine is degenerate or already has another
+        product, in sorted order, each with that product.
+
+        The product is the degenerate value, or else the spine's least
+        stored long edge (the one ``mult`` returns).
+        """
+        for t in sorted(self.triangles):
+            f, g, h = t
+            product = self._degenerate_value(f, g)
+            if product is None and self._spine[(f, g)] != h:
+                product = self._spine[(f, g)]
+            if product is not None:
+                yield t, product
 
     def _validate_orbits(self):
         out = []
@@ -454,11 +478,7 @@ class TruncatedModel:
         """
         if self.mode != SYMMETRIC:
             return tuple(sorted(self.triangles))
-
-        def rep_key(tri):
-            return (sum(1 for name in tri if name.endswith("^")), tri)
-
-        reps = {min(orbit_images(t, self.inv), key=rep_key)
+        reps = {min(orbit_images(t, self.inv), key=word_sort_key)
                 for t in self.triangles}
         return tuple(sorted(reps))
 
@@ -514,9 +534,7 @@ def nerve_truncation(cat, mode: str = SYMMETRIC) -> TruncatedModel:
     for m in cat.nonidentity_morphisms():
         mor = cat.morphism(m)
         edges.append(Edge(m, mor.src, mor.tgt, inv=cat.inverse(m)))
-    shell = TruncatedModel(SYMMETRIC, objects, edges, ())
-    closed = shell._close_triangles(triangles)
-    model = TruncatedModel(SYMMETRIC, objects, edges, closed)
+    model = TruncatedModel.closed(objects, edges, triangles)
     report = model.validate()
     if not report.ok:
         raise ModelError(f"nerve did not validate: {report.summary()}")

@@ -209,6 +209,12 @@ COMPATIBLE = "compatible"
 WELL_BEHAVED = "well_behaved"
 
 
+def _wraps(n: int):
+    """The two wrap-around triangles (n-1, n, 0) and (n, 0, 1), sorted: the
+    ears at vertex n and at vertex 0."""
+    return (0, n - 1, n), (0, 1, n)
+
+
 def _shared_linear_ear(t: Triangulation, t2: Triangulation):
     shared = t.triples & t2.triples
     for i in range(1, t.n):
@@ -230,10 +236,7 @@ def pair_classify(t: Triangulation, t2: Triangulation) -> str:
     if _shared_linear_ear(t, t2) is not None:
         return INCOMPATIBLE
     shared = t.triples & t2.triples
-    n = t.n
-    wrap1 = tuple(sorted((n - 1, n, 0)))
-    wrap2 = tuple(sorted((n, 0, 1)))
-    if wrap1 in shared or wrap2 in shared:
+    if any(wrap in shared for wrap in _wraps(t.n)):
         return COMPATIBLE
     return WELL_BEHAVED
 
@@ -342,14 +345,11 @@ class PeelResult:
     steps: int
 
 
-def _delete_vertex_n(t: Triangulation) -> Triangulation:
-    wrap = tuple(sorted((t.n - 1, t.n, 0)))
-    return Triangulation.of(t.n - 1, [x for x in t.triples if x != wrap])
-
-
-def _delete_vertex_0(t: Triangulation) -> Triangulation:
-    wrap = tuple(sorted((t.n, 0, 1)))
-    kept = [tuple(v - 1 for v in x) for x in t.triples if x != wrap]
+def _delete_wrap(t: Triangulation, shift: int) -> Triangulation:
+    """Drop the ear at vertex n (shift 0) or at vertex 0 (shift 1) and
+    renumber the remaining vertices from 0."""
+    wrap = _wraps(t.n)[shift]
+    kept = [tuple(v - shift for v in x) for x in t.triples if x != wrap]
     return Triangulation.of(t.n - 1, kept)
 
 
@@ -357,43 +357,21 @@ def peel_step(t: Triangulation, t2: Triangulation, hom: Hom,
               target: TruncatedModel):
     """One peel: drop the shared wrap triangle and restrict the map.
 
-    Returns the smaller pair with the composite map NA(S,S') -> X.
-    Identification of the long edges is preserved, which is exactly the
-    two-sided cancellation law of the target.
+    Returns the smaller pair with the composite map NA(S,S') -> X.  A map
+    out of NA(S,S') is its spine word, here the big spine word without
+    the letter of the dropped vertex.  Identification of the long edges
+    is preserved, which is exactly the two-sided cancellation law of the
+    target.
     """
-    n = t.n
     shared = t.triples & t2.triples
-    wrap_n = tuple(sorted((n - 1, n, 0)))
-    wrap_0 = tuple(sorted((n, 0, 1)))
-    if wrap_n in shared:
-        s, s2 = _delete_vertex_n(t), _delete_vertex_n(t2)
-        shift = 0
-    elif wrap_0 in shared:
-        s, s2 = _delete_vertex_0(t), _delete_vertex_0(t2)
-        shift = 1
+    for shift, wrap in enumerate(_wraps(t.n)):
+        if wrap in shared:
+            break
     else:
         raise GluingError("pair is already well-behaved, nothing to peel")
-    small = build_glued(s, s2, variant="na")
-    big_names = {}
-    for prefix in ("T", "T'"):
-        for i in range(s.n + 1):
-            for j in range(i + 1, s.n + 1):
-                small_name = _edge_name(s.n, prefix, i, j, False)
-                big_names[small_name] = _edge_name(n, prefix, i + shift,
-                                                   j + shift, False)
-    vmap, emap = {}, {}
-    for v in range(s.n + 1):
-        vmap[str(v)] = hom.vertex(str(v + shift))
-    for name in small.model.edges:
-        e = small.model.edge(name)
-        if e.is_identity:
-            emap[name] = identity_name(vmap[e.src])
-        elif name.endswith("^"):
-            emap[name] = target.inv(hom.edge(big_names[name[:-1]]))
-        else:
-            emap[name] = hom.edge(big_names[name])
-    composite = Hom.of(vmap, emap)
-    return small, composite
+    small = build_glued(_delete_wrap(t, shift), _delete_wrap(t2, shift), variant="na")
+    word = [hom.edge(f"s{k + shift}") for k in range(1, small.n + 1)]
+    return small, _hom_from_evaluation(small, target, word)
 
 
 def peel(t: Triangulation, t2: Triangulation, hom: Hom,

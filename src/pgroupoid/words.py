@@ -21,21 +21,11 @@ from dataclasses import dataclass
 from itertools import chain, product, starmap
 from operator import or_
 
-from .model import SYMMETRIC, Edge, TruncatedModel, identity_name
+from .model import SYMMETRIC, Edge, TruncatedModel, identity_name, word_sort_key
 
 
 class WordError(ValueError):
     """Malformed word or an operation applied outside its precondition."""
-
-
-def word_sort_key(word):
-    """Canonical order on same-length words: positively oriented first.
-
-    Words with fewer inverse-marked letters come first, ties broken
-    lexicographically, so spine-style witnesses beat their inverted
-    variants.
-    """
-    return (sum(1 for t in word if t.endswith("^")), word)
 
 
 # -- basic word plumbing ------------------------------------------------------
@@ -584,6 +574,8 @@ def reflect_bounded(model: TruncatedModel, max_len: int) -> ReflectResult:
     bound (together with the inverse edges), then resolves any spine
     collisions the merge creates by further identification: a collision
     (f,g) -> {h, h'} is exactly a length-2 mean word, so h and h' merge.
+    The quotient model names these collisions itself, degenerate spines
+    with another long edge included.
     The returned model passes ``mean_scan`` at the same bound; the flag
     records that embeddability is only known up to that bound.
     """
@@ -615,54 +607,33 @@ def _merge_parallel_edges(model, names):
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return True
-
     def union_pair(a, b):
-        changed = union(a, b)
-        changed |= union(model.inv(a), model.inv(b))
-        return changed
+        for x, y in ((a, b), (model.inv(a), model.inv(b))):
+            rx, ry = sorted((find(x), find(y)))
+            parent[ry] = rx
 
     base = sorted(names)
     for other in base[1:]:
         union_pair(base[0], other)
-
-    # Stabilize: merges may force further identifications through collisions.
+    # A spine with two products is a length-2 mean word, so its products
+    # merge too; repeat until the quotient has no such spine.
     while True:
-        rep = {e: find(e) for e in model.edges}
-        changed = False
-        spines: dict[tuple[str, str], str] = {}
-        mapped = set()
-        for f, g, h in sorted(model.triangles):
-            mapped.add((rep[f], rep[g], rep[h]))
-        inv_rep = {rep[e]: rep[model.inv(e)] for e in model.edges}
-        id_rep = {find(identity_name(o)) for o in model.objects}
-        for f, g, h in sorted(mapped):
-            if f in id_rep:
-                expected = g
-            elif g in id_rep:
-                expected = f
-            elif g == inv_rep[f]:
-                # reps are names of the original model, so endpoints resolve
-                expected = find(identity_name(model.edge(f).src))
-            else:
-                expected = None
-            if expected is not None:
-                if expected != h:
-                    changed |= union_pair(h, expected)
-                continue
-            if (f, g) in spines and spines[(f, g)] != h:
-                changed |= union_pair(spines[(f, g)], h)
-            spines.setdefault((f, g), h)
-        if not changed:
+        merged, rename = _quotient(model, find)
+        faults = [(t[2], product) for t, product in merged._spine_faults()
+                  if product != t[2]]
+        if not faults:
             break
+        for h, product in faults:
+            union_pair(h, product)
+    report = merged.validate()
+    if not report.ok:
+        raise WordError(f"merge left an invalid model: {report.summary()}")
+    return merged, rename
 
+
+def _quotient(model, find):
+    """The quotient of ``model`` by the edge classes of ``find``, and the
+    map from each edge to its class's name there."""
     classes: dict[str, list[str]] = {}
     for e in sorted(model.edges):
         classes.setdefault(find(e), []).append(e)
@@ -694,16 +665,8 @@ def _merge_parallel_edges(model, names):
                           inv=rename[model.inv(members[0])],
                           is_identity=any(model.edge(m).is_identity
                                           for m in members)))
-    triangles = set()
-    for f, g, h in model.triangles:
-        triangles.add((rename[f], rename[g], rename[h]))
-    shell = TruncatedModel(SYMMETRIC, model.objects, edges, ())
-    closed = shell._close_triangles(triangles)
-    merged = TruncatedModel(SYMMETRIC, model.objects, edges, closed)
-    report = merged.validate()
-    if not report.ok:
-        raise WordError(f"merge left an invalid model: {report.summary()}")
-    return merged, rename
+    triangles = {(rename[f], rename[g], rename[h]) for f, g, h in model.triangles}
+    return TruncatedModel.closed(model.objects, edges, triangles), rename
 
 
 # -- the single-axiom pregroup probe --------------------------------------------

@@ -5,8 +5,9 @@ contractibility are recomputed by enumerating one-step contraction
 sequences, bounded scans are read off layers all built in full,
 triangulations by filtering non-crossing diagonal subsets,
 starry membership by enumerating pullbacks of simplices, normal forms by
-rewriting in random order, and categories come from a pool of
-hand-rolled constructions.
+rewriting in random order, reflection merges by re-deriving degenerate
+products on class names, peeled maps by renaming edges, and categories
+come from a pool of hand-rolled constructions.
 """
 from __future__ import annotations
 
@@ -264,6 +265,106 @@ def sub_nerve(nerve, rng, edge_p, tri_p):
     triangles = set().union(*(orbit for orbit, keep in orbits.items() if keep))
     edges = [nerve.edge(name) for name in sorted(kept) if kept[name]]
     return pg.TruncatedModel(nerve.mode, nerve.objects, edges, triangles)
+
+
+# -- superseded merge and peel paths ---------------------------------------------
+
+
+def stabilized_merge(model, names):
+    """``words._merge_parallel_edges`` as a stabilize loop on class names.
+
+    Edge classes grow from ``names`` until no triangle, mapped to the least
+    name of each class, has a degenerate spine with another value or a
+    spine with two long edges; the degenerate products are re-derived here
+    from class-level identities and inverses instead of read off a
+    quotient model.  The quotient of the final classes is then built by
+    the library, as in the merge it checks.
+    """
+    parent = {e: e for e in model.edges}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union_pair(a, b):
+        changed = False
+        for x, y in ((a, b), (model.inv(a), model.inv(b))):
+            rx, ry = sorted((find(x), find(y)))
+            if rx != ry:
+                parent[ry] = rx
+                changed = True
+        return changed
+
+    base = sorted(names)
+    for other in base[1:]:
+        union_pair(base[0], other)
+    changed = True
+    while changed:
+        rep = {e: find(e) for e in model.edges}
+        changed = False
+        spines = {}
+        mapped = {(rep[f], rep[g], rep[h]) for f, g, h in model.triangles}
+        inv_rep = {rep[e]: rep[model.inv(e)] for e in model.edges}
+        id_rep = {find(pg.identity_name(o)) for o in model.objects}
+        for f, g, h in sorted(mapped):
+            if f in id_rep:
+                expected = g
+            elif g in id_rep:
+                expected = f
+            elif g == inv_rep[f]:
+                expected = find(pg.identity_name(model.edge(f).src))
+            else:
+                expected = None
+            if expected is not None:
+                if expected != h:
+                    changed |= union_pair(h, expected)
+                continue
+            if (f, g) in spines and spines[(f, g)] != h:
+                changed |= union_pair(spines[(f, g)], h)
+            spines.setdefault((f, g), h)
+    merged, rename = pg.words._quotient(model, find)
+    report = merged.validate()
+    if not report.ok:
+        raise pg.WordError(f"merge left an invalid model: {report.summary()}")
+    return merged, rename
+
+
+def renamed_peel_step(t, t2, hom, target):
+    """``polygon.peel_step`` by renaming: each edge of the smaller gluing
+    takes the image of the big edge it was cut from, instead of being
+    evaluated from the spine word."""
+    n = t.n
+    shared = t.triples & t2.triples
+    if (0, n - 1, n) in shared:
+        shift, wrap = 0, (0, n - 1, n)
+    elif (0, 1, n) in shared:
+        shift, wrap = 1, (0, 1, n)
+    else:
+        raise pg.GluingError("pair is already well-behaved, nothing to peel")
+    s, s2 = (pg.Triangulation.of(n - 1, [tuple(v - shift for v in x)
+                                         for x in tri.triples if x != wrap])
+             for tri in (t, t2))
+    small = pg.build_glued(s, s2, variant="na")
+    edge_name = pg.polygon._edge_name
+    big_names = {}
+    for prefix in ("T", "T'"):
+        for i in range(s.n + 1):
+            for j in range(i + 1, s.n + 1):
+                big_names[edge_name(s.n, prefix, i, j, False)] = edge_name(
+                    n, prefix, i + shift, j + shift, False)
+    vmap = {str(v): hom.vertex(str(v + shift)) for v in range(s.n + 1)}
+    emap = {}
+    for name in small.model.edges:
+        e = small.model.edge(name)
+        if e.is_identity:
+            emap[name] = pg.identity_name(vmap[e.src])
+        elif name.endswith("^"):
+            emap[name] = target.inv(hom.edge(big_names[name[:-1]]))
+        else:
+            emap[name] = hom.edge(big_names[name])
+    return small, pg.Hom.of(vmap, emap)
 
 
 # -- category pool -----------------------------------------------------------------

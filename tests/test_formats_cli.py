@@ -529,6 +529,26 @@ def test_cli_pairs_refuses_n_above_the_limit_before_enumerating(monkeypatch, cap
     assert str(pg.polygon.MAX_GLUED_N) in rec["detail"]
 
 
+@pytest.mark.parametrize("n", ["1", str(pg.polygon.MAX_GLUED_N + 2)])
+def test_cli_na_refuses_n_outside_the_limit_before_enumerating(
+        monkeypatch, capsys, tmp_path, n):
+    def no_enumeration(n):
+        raise AssertionError("enumerated triangulations")
+
+    monkeypatch.setattr(pg.polygon, "enumerate_triangulations", no_enumeration)
+    out_path = tmp_path / "na.pgd"
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "na", n, "0", "1", "-o", str(out_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
+    assert (rec["command"], rec["verdict"]) == ("na", "input-error")
+    assert str(pg.polygon.MAX_GLUED_N) in rec["detail"]
+    assert not out_path.exists()
+
+
 # -- malformed PGD and CAT text -------------------------------------------------
 
 _CAT_FIXTURES = ("interval.cat", "z3.cat")

@@ -24,6 +24,39 @@ def test_spine_collision_reported():
     assert any(v.kind == "spine-collision" for v in report.violations)
 
 
+def test_validate_spine_report_is_pinned():
+    # raw symmetric model: degenerate triples stored, degenerate spines with
+    # another long edge (left identity, right identity, inverse pair) and a
+    # spine with two long edges
+    edges = [pg.Edge(f"1@{o}", o, o, inv=f"1@{o}", is_identity=True) for o in "012"]
+    for name, src, tgt in (("e", "0", "0"), ("f", "0", "1"), ("g", "1", "2"),
+                           ("h", "0", "2"), ("k", "0", "2")):
+        edges += [pg.Edge(name, src, tgt, inv=name + "^"),
+                  pg.Edge(name + "^", tgt, src, inv=name)]
+    triangles = [("1@0", "h", "h"), ("1@0", "h", "k"), ("k", "1@2", "h"),
+                 ("k", "1@2", "k"), ("f", "f^", "e"), ("f", "g", "h"),
+                 ("f", "g", "k"), ("e", "h", "k")]
+    report = pg.TruncatedModel("symmetric", list("012"), edges, triangles).validate()
+    spine_kinds = {"spine-collision", "degenerate-stored"}
+    got = [(v.kind, v.detail, v.witness) for v in report.violations]
+    expected = [
+        ("degenerate-stored", "degenerate triangle (1@0,h,h) must not be stored",
+         (("1@0", "h", "h"),)),
+        ("spine-collision", "triangle (1@0,h,k) collides with the degenerate "
+         "spine (1@0,h) -> h", (("1@0", "h", "k"),)),
+        ("spine-collision", "triangle (f,f^,e) collides with the degenerate "
+         "spine (f,f^) -> 1@0", (("f", "f^", "e"),)),
+        ("spine-collision", "spine (f,g) has two long edges h and k",
+         (("f", "g", "h"), ("f", "g", "k"))),
+        ("spine-collision", "triangle (k,1@2,h) collides with the degenerate "
+         "spine (k,1@2) -> k", (("k", "1@2", "h"),)),
+        ("degenerate-stored", "degenerate triangle (k,1@2,k) must not be stored",
+         (("k", "1@2", "k"),)),
+    ]
+    assert got[:len(expected)] == expected
+    assert not any(kind in spine_kinds for kind, _, _ in got[len(expected):])
+
+
 def test_orbit_gap_reported():
     edges = [
         pg.Edge("1@0", "0", "0", inv="1@0", is_identity=True),

@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from helpers import (
     oracle_diagonal_sets,
     pentagon_figure_pair,
     pentagon_incompatible_pair,
+    renamed_peel_step,
     square_pair,
     sub_nerve,
 )
@@ -248,6 +250,30 @@ def test_peel_other_wrap_vertex():
     assert res.t.n == 3
     small = pg.build_glued(res.t, res.t2).model
     assert pg.verify_hom(small, target, res.hom)
+
+
+def test_peel_matches_the_renamed_composite():
+    # every compatible, not well-behaved pair at n = 4..6, peeled from the
+    # identity of its gluing; the n = 4 pairs also from every 50th of their
+    # 6,068 maps into the pentagon fixture
+    pentagon = load("na_pentagon.pgd")
+    runs = []
+    for n in (4, 5, 6):
+        tris = pg.enumerate_triangulations(n)
+        for t in tris:
+            for t2 in tris:
+                if pg.pair_classify(t, t2) != pg.COMPATIBLE:
+                    continue
+                target = pg.build_glued(t, t2).model
+                runs.append((t, t2, pg.identity_hom(target), target))
+                if n == 4:
+                    homs = pg.enumerate_homs(target, pentagon)[::50]
+                    runs.extend((t, t2, hom, pentagon) for hom in homs)
+    got = [pg.peel(*run) for run in runs]
+    with mock.patch.object(pg.polygon, "peel_step", renamed_peel_step):
+        want = [pg.peel(*run) for run in runs]
+    assert got == want
+    assert len(runs) == 248 + 124
 
 
 def test_peel_preserves_long_edge_identification():

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from helpers import (
     horn_symmetric,
     load,
     pentagon_figure_pair,
+    stabilized_merge,
     sub_nerve,
 )
 
@@ -648,6 +650,64 @@ def test_reflect_example1_identifies_all_three():
     res = pg.reflect_bounded(ms, 7)
     assert dict(res.identified) == {"g": "f", "g^": "f^", "h": "f", "h^": "f^"}
     assert pg.mean_scan(res.model, 7).is_kind
+
+
+def _merge_outcome(model, names):
+    try:
+        merged, rename = pg.words._merge_parallel_edges(model, names)
+    except pg.WordError as exc:
+        return str(exc)
+    return merged._key(), rename
+
+
+def _reflect_outcome(model, bound):
+    res = pg.reflect_bounded(model, bound)
+    return res.model._key(), res.identified, res.rounds
+
+
+def _check_against_stabilizer(model, merges=(), bounds=()):
+    """Direct merges of ``merges`` and ``reflect_bounded`` at ``bounds``
+    give the same models, renames, identifications and rounds as with
+    the stabilize-loop merge; returns how many direct merges identified
+    edges beyond the merged ones and their inverses."""
+    calls = [(_merge_outcome, names) for names in merges]
+    calls += [(_reflect_outcome, bound) for bound in bounds]
+    got = [run(model, arg) for run, arg in calls]
+    with mock.patch.object(pg.words, "_merge_parallel_edges", stabilized_merge):
+        want = [run(model, arg) for run, arg in calls]
+    assert got == want
+    grown = 0
+    for names, outcome in zip(merges, got):
+        if isinstance(outcome, str):
+            continue  # the merge was refused
+        seeds = set(names) | {model.inv(x) for x in names}
+        grown += any(new != e for e, new in outcome[1].items() if e not in seeds)
+    return grown
+
+
+def test_merge_matches_stabilizer_on_fixtures():
+    grown = sum(_check_against_stabilizer(model, _parallel_pairs(model), range(3, 6))
+                for name, model in _fixture_models()
+                if model.mode == pg.model.SYMMETRIC)
+    assert grown == 6
+
+
+def test_merge_matches_stabilizer_on_na_gluings():
+    grown = sum(_check_against_stabilizer(model, [("lT", "lT'")], range(3, 6))
+                for name, model in _na_gluings(5))
+    assert grown == 32
+    # some reflections need more than one round at bound 5
+    assert any(pg.reflect_bounded(model, 5).rounds > 1 for _, model in _na_gluings(5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(range(len(SUB_NERVE_GROUPOIDS))), st.integers(0, 2**32),
+       st.floats(0.5, 1.0), st.floats(0.5, 1.0))
+def test_merge_matches_stabilizer_on_sub_nerves(which, seed, edge_p, tri_p):
+    rng = random.Random(seed)
+    model = sub_nerve(pg.nerve_truncation(SUB_NERVE_GROUPOIDS[which]), rng, edge_p, tri_p)
+    pairs = _parallel_pairs(model)
+    _check_against_stabilizer(model, rng.sample(pairs, min(len(pairs), 6)))
 
 
 # -- pregroup axiom ---------------------------------------------------------------------
