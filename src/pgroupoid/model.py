@@ -55,10 +55,6 @@ def identity_name(obj: str) -> str:
     return IDENTITY_PREFIX + obj
 
 
-def is_identity_name(name: str) -> bool:
-    return name.startswith(IDENTITY_PREFIX)
-
-
 @dataclass(frozen=True)
 class Edge:
     """A 1-simplex.  ``inv`` is the involution partner (symmetric mode only)."""

@@ -361,8 +361,10 @@ def peel_step(t: Triangulation, t2: Triangulation, hom: Hom,
     out of NA(S,S') is its spine word, here the big spine word without
     the letter of the dropped vertex.  Identification of the long edges
     is preserved, which is exactly the two-sided cancellation law of the
-    target.
+    target.  ``hom`` must be a hom NA(T,T') -> ``target``.
     """
+    if not verify_hom(build_glued(t, t2).model, target, hom):
+        raise GluingError("map is not a hom NA(T, T') -> target")
     shared = t.triples & t2.triples
     for shift, wrap in enumerate(_wraps(t.n)):
         if wrap in shared:
@@ -655,7 +657,7 @@ def _chord_values(target, word, t: Triangulation):
 
 def _hom_from_evaluation(glued: GluedModel, target: TruncatedModel, word) -> Hom:
     n = glued.n
-    vmap = {"0": _words.word_src(target, word)}
+    vmap = {"0": target.edge(word[0]).src}
     for i in range(1, n + 1):
         vmap[str(i)] = target.edge(word[i - 1]).tgt
     emap = {}

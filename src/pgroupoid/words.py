@@ -43,14 +43,6 @@ def check_word(model: TruncatedModel, word) -> tuple[str, ...]:
     return word
 
 
-def word_src(model: TruncatedModel, word) -> str:
-    return model.edge(word[0]).src
-
-
-def word_tgt(model: TruncatedModel, word) -> str:
-    return model.edge(word[-1]).tgt
-
-
 def word_inverse(model: TruncatedModel, word) -> tuple[str, ...]:
     if model.mode != SYMMETRIC:
         raise WordError("word inversion needs a symmetric model")
@@ -156,21 +148,22 @@ class ValueTable:
     value index ``by_value[L]``: value -> set of packed words.  A word with
     several values sits in several sets.
 
-    With a ``bound``, layer ``bound`` is the last one the table builds, and
-    it holds only the value sets ``keep(reached)`` names, where ``reached``
-    is the set of values some word of that length has.  No layer is ever
-    joined from it, so every lower layer stays complete, and exhaustion is
-    still exact: the layer is empty exactly when it has no productive
-    split, whatever ``keep`` drops.  The readers keep what they can use:
-    :func:`mean_scan` the values whose parallel class reaches two values
-    at the bound, since all values of a word are parallel and a mean word
-    has two of them; :func:`mountain` the sets of f and g.
+    With a ``bound``, layer ``bound`` is the last one the table builds.  It
+    holds only the sets of the values in ``among`` (None: every value)
+    that some word of that length has and that are parallel to another
+    such value (:func:`_parallel_values`).  No layer is ever joined from
+    it, so every lower layer stays complete, and exhaustion is still
+    exact: the layer is empty exactly when it has no productive split,
+    whatever it drops.  A word with two values in ``among`` has them in
+    one parallel class, so it is kept with all of its values there:
+    :func:`mean_scan` reads every value, :func:`mountain` f and g.
     """
 
-    def __init__(self, model: TruncatedModel, bound: int | None = None, keep=None):
+    def __init__(self, model: TruncatedModel, bound: int | None = None,
+                 among: set[str] | None = None):
         self.model = model
         self.bound = bound
-        self.keep = keep
+        self.among = among
         self.letters = model.nonidentity_edges()
         self.bits = max(1, (len(self.letters) - 1).bit_length())
         self.by_value = [{}, {e: {i} for i, e in enumerate(self.letters)}]
@@ -194,8 +187,8 @@ class ValueTable:
         length k and value v1 followed by one of length L-k and value v2
         has value h.  The jobs are listed first, per (k, v1) as pairs of h
         and the v2 words; a job always yields words, so the list decides
-        emptiness before the bound's ``keep`` drops the jobs of other
-        values.  After exhaustion every split meets an empty layer."""
+        emptiness before the bound drops the jobs of values it does not
+        keep.  After exhaustion every split meets an empty layer."""
         size = len(self.by_value)
         jobs = []
         for k in range(1, size):
@@ -208,7 +201,10 @@ class ValueTable:
         if not jobs and not any(self.by_value[(size + 1) // 2:]):
             self._exhausted = True
         if size == self.bound:
-            kept = self.keep({h for _, _, pairs in jobs for h, _ in pairs})
+            reached = {h for _, _, pairs in jobs for h, _ in pairs}
+            if self.among is not None:
+                reached &= self.among
+            kept = _parallel_values(self.model, reached)
             jobs = [(k, v1, [pair for pair in pairs if pair[0] in kept])
                     for k, v1, pairs in jobs]
         acc: dict[str, set[int]] = {}
@@ -231,46 +227,6 @@ class ValueTable:
         layers is empty then every longer word lacks a productive split.
         """
         return self._exhausted
-
-
-def _picked_words(table: ValueTable, pick):
-    """Scan the layers 2..``table.bound`` for the words ``pick`` wants.
-
-    ``pick(index, layer)`` gets one layer's value index and its packed
-    words and returns the packed words it wants.  For each layer where it
-    returns some, yield the length, the index and those packed words.
-    Each layer is built and fetched exactly once; :func:`_least_word`
-    decodes the one word a reader reads.
-
-    The last layer holds only the value sets the table's ``keep`` names,
-    each of them complete.  That is sound when ``pick`` and its caller
-    read only kept sets there: a mean word has all of its values in kept
-    classes, so it is found with its full value set, and a mountain of f
-    and g needs only their two sets.
-    """
-    for length in range(2, table.bound + 1):
-        layer = table.layer(length)
-        index = table.by_value[length]
-        picked = pick(index, layer)
-        if picked:
-            yield length, index, picked
-        if table.exhausted_at(length):
-            return
-
-
-def _least_word(table: ValueTable, length: int, picked):
-    """The first of the packed words ``picked`` in :func:`word_sort_key`
-    order, as (word, packed word)."""
-    return min(((table.decode(w, length), w) for w in picked),
-               key=lambda pair: word_sort_key(pair[0]))
-
-
-def _mean_words(index, layer):
-    """The words lying in two or more value sets of one layer."""
-    if sum(map(len, index.values())) == len(layer):
-        return ()
-    counts = Counter(chain.from_iterable(index.values()))
-    return [w for w, n in counts.items() if n > 1]
 
 
 def _parallel_values(model: TruncatedModel, reached):
@@ -310,6 +266,53 @@ class MeanScanResult:
         return self.witness is None
 
 
+def _scan(model: TruncatedModel, max_len: int, among: set[str] | None,
+          collect_all: bool = False) -> MeanScanResult:
+    """Search words of length 2..max_len for two values among ``among``
+    (None: every value), layer by layer in one :class:`ValueTable`.
+
+    A word with two such values lies in two of the layer's value sets
+    restricted to ``among``.  The witness is the least word of the first
+    layer that has one, with its values among ``among``, re-checked with
+    :func:`values`; the scan stops there unless ``collect_all``, and on
+    exhaustion.
+    """
+    result = MeanScanResult(bound=max_len)
+    sad: set[str] = set()
+    table = ValueTable(model, max_len, among)
+    for length in range(2, max_len + 1):
+        layer = table.layer(length)
+        index = table.by_value[length]
+        if among is not None:
+            index = {v: index[v] for v in among if v in index}
+            layer = set().union(*index.values())
+        # no word lies in two sets when their sizes add up to their union's
+        if sum(map(len, index.values())) > len(layer):
+            counts = Counter(chain.from_iterable(index.values()))
+            found = {w for w, n in counts.items() if n > 1}
+            if result.witness is None:
+                word, packed = min(((table.decode(w, length), w) for w in found),
+                                   key=lambda pair: word_sort_key(pair[0]))
+                result.witness = word
+                result.witness_values = tuple(sorted(
+                    v for v, ws in index.items() if packed in ws))
+                got = values(model, word)
+                if among is not None:
+                    got &= among
+                if tuple(sorted(got)) != result.witness_values:
+                    raise AssertionError(f"witness {word} fails its values re-check")
+                if not collect_all:
+                    found = {packed}
+            result.mean_word_count += len(found)
+            sad.update(v for v, ws in index.items() if not ws.isdisjoint(found))
+            if not collect_all:
+                break
+        if table.exhausted_at(length):
+            break
+    result.sad_edges = tuple(sorted(sad))
+    return result
+
+
 def mean_scan(model: TruncatedModel, max_len: int, *,
               collect_all: bool = False) -> MeanScanResult:
     """Search composable words of length 2..max_len for a mean word.
@@ -320,24 +323,7 @@ def mean_scan(model: TruncatedModel, max_len: int, *,
     """
     if max_len < 2:
         raise WordError("mean scan needs max_len >= 2")
-    result = MeanScanResult(bound=max_len)
-    sad: set[str] = set()
-    table = ValueTable(model, max_len, lambda reached: _parallel_values(model, reached))
-    for length, index, picked in _picked_words(table, _mean_words):
-        if result.witness is None:
-            word, packed = _least_word(table, length, picked)
-            result.witness = word
-            result.witness_values = tuple(sorted(
-                v for v, ws in index.items() if packed in ws))
-            if tuple(sorted(values(model, word))) != result.witness_values:
-                raise AssertionError(f"mean witness {word} fails its values re-check")
-        found = set(picked) if collect_all else {packed}
-        result.mean_word_count += len(found)
-        sad.update(v for v, ws in index.items() if not ws.isdisjoint(found))
-        if not collect_all:
-            break
-    result.sad_edges = tuple(sorted(sad))
-    return result
+    return _scan(model, max_len, None, collect_all)
 
 
 # -- zigzags and mountains -----------------------------------------------------
@@ -428,13 +414,16 @@ def _zigzag_neighbors(model, word, cap):
     return out
 
 
-def find_zigzag(model: TruncatedModel, f: str, g: str, peak_cap: int,
-                node_cap: int = 100_000) -> Zigzag | None:
+ZIGZAG_NODE_CAP = 100_000  # words discovered before the search stops expanding
+
+
+def find_zigzag(model: TruncatedModel, f: str, g: str, peak_cap: int) -> Zigzag | None:
     """Breadth-first search in the contraction graph from (f) to (g).
 
     Expansion steps replace a letter by a stored spine with that product,
     keeping words at length <= peak_cap.  The discovered path is compressed
-    into an alternating zigzag.
+    into an alternating zigzag.  Once ``ZIGZAG_NODE_CAP`` words are known
+    no more are expanded, so a None under the cap is not exhaustive.
     """
     start, goal = (f,), (g,)
     if start == goal:
@@ -451,7 +440,7 @@ def find_zigzag(model: TruncatedModel, f: str, g: str, peak_cap: int,
             if nb == goal:
                 found = nb
                 break
-            if len(parents) < node_cap:
+            if len(parents) < ZIGZAG_NODE_CAP:
                 queue.append(nb)
     if found is None:
         return None
@@ -474,12 +463,13 @@ def mountain(model: TruncatedModel, f: str, g: str,
              max_len: int) -> tuple[str, ...] | None:
     """The least word of length <= max_len with both f and g among its values.
 
-    For f = g the degenerate word (id, f) does the job.  Otherwise the
-    bounded scan of :class:`ValueTable` decides, so the witness is the
-    shortest such word, first in :func:`word_sort_key` order, and an absent
-    verdict is exhaustive at the bound.  Layer ``max_len`` keeps only the
-    value sets of f and g, and only when both are reachable there.  The
-    witness is re-checked with :func:`values` before it is returned.
+    For f = g the degenerate word (id, f) does the job.  Otherwise such a
+    word is a mean word whose values include f and g, so the bounded scan
+    of :func:`mean_scan` among {f, g} decides: the witness is the shortest
+    such word, first in :func:`word_sort_key` order, re-checked with
+    :func:`values`, and an absent verdict is exhaustive at the bound.
+    Layer ``max_len`` keeps only the value sets of f and g, and only when
+    both are reachable there.
     """
     ef, eg = model.edge(f), model.edge(g)
     if (ef.src, ef.tgt) != (eg.src, eg.tgt):
@@ -488,20 +478,7 @@ def mountain(model: TruncatedModel, f: str, g: str,
         raise WordError("mountain search needs max_len >= 2")
     if f == g:
         return (identity_name(ef.src), f)
-
-    def both(index, layer):
-        return index.get(f, set()) & index.get(g, set())
-
-    def ends(reached):
-        return {f, g} if {f, g} <= reached else ()
-
-    table = ValueTable(model, max_len, ends)
-    for length, _, picked in _picked_words(table, both):
-        word, _ = _least_word(table, length, picked)
-        if not {f, g} <= values(model, word):
-            raise AssertionError(f"mountain {word} fails its values re-check")
-        return word
-    return None
+    return _scan(model, max_len, {f, g}).witness
 
 
 # -- presentation of the fundamental groupoid ----------------------------------

@@ -252,6 +252,18 @@ def test_peel_other_wrap_vertex():
     assert pg.verify_hom(small, target, res.hom)
 
 
+def test_peel_rejects_a_map_that_is_not_a_hom():
+    # the identity of the gluing with s2 sent to s3 breaks the triangles at s2
+    t = pg.Triangulation.of(4, [(0, 1, 4), (1, 2, 3), (1, 3, 4)])
+    t2 = pg.Triangulation.of(4, [(0, 1, 4), (1, 2, 4), (2, 3, 4)])
+    target = pg.build_glued(t, t2).model
+    ident = pg.identity_hom(target)
+    hom = pg.Hom.of(ident.vertices, {**ident.edges, "s2": "s3"})
+    for peel in (pg.peel, pg.peel_step):
+        with pytest.raises(pg.GluingError, match="not a hom"):
+            peel(t, t2, hom, target)
+
+
 def test_peel_matches_the_renamed_composite():
     # every compatible, not well-behaved pair at n = 4..6, peeled from the
     # identity of its gluing; the n = 4 pairs also from every 50th of their

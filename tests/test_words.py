@@ -392,14 +392,26 @@ def test_exhaustion_closes_on_the_last_layer():
         full = _full_exhaustion(model, 7)
         assert [size > 0 for _, size, _ in full] == [True, True] + [False] * 4
         assert [e for _, _, e in full] == [False] * 5 + [True]
-        table = ValueTable(model, 7, lambda reached: set())
+        table = ValueTable(model, 7, set())
         table.layer(7)
         assert table.exhausted_at(7) and not table.by_value[7]
     # a layer at the bound that keeps nothing is not an empty layer
-    table = ValueTable(load("a_square.pgd"), 7, lambda reached: set())
+    table = ValueTable(load("a_square.pgd"), 7, set())
     assert not table.layer(7) and not table.exhausted_at(7)
     with pytest.raises(pg.WordError):
         table.layer(8)
+
+
+def test_layer_at_the_bound_keeps_parallel_values_among():
+    na = load("na_square.pgd")
+    full = ValueTable(na)
+    full.layer(3)
+    for among, kept in ((None, {"lT", "lT'", "lT^", "lT'^"}),
+                        ({"lT", "lT'"}, {"lT", "lT'"}),
+                        ({"lT"}, set())):
+        table = ValueTable(na, 3, among)
+        table.layer(3)
+        assert table.by_value[3] == {v: full.by_value[3][v] for v in kept}
 
 
 # -- mountains ---------------------------------------------------------------------
@@ -477,6 +489,14 @@ def test_find_zigzag_example2_matches_three_peak_chain():
     assert zz.entries == (("f",), ("a", "b", "c"), ("a", "p"),
                           ("a", "m", "c'"), ("q", "c'"),
                           ("a'", "b'", "c'"), ("g",))
+
+
+def test_find_zigzag_stops_expanding_at_the_node_cap(monkeypatch):
+    m = load("example2.pgd")
+    monkeypatch.setattr(pg.words, "ZIGZAG_NODE_CAP", 5)
+    assert pg.find_zigzag(m, "f", "g", peak_cap=5) is None
+    monkeypatch.setattr(pg.words, "ZIGZAG_NODE_CAP", 10)
+    assert pg.find_zigzag(m, "f", "g", peak_cap=5).peak_count == 3
 
 
 def test_mountain_from_zigzag_even_case():
