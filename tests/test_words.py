@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -204,6 +205,16 @@ def test_value_table_example1_sizes_and_exhaustion():
     assert exhausted == [False] * 6 + [True]
 
 
+def test_exhausted_at_answers_for_the_length_asked():
+    table = ValueTable(load("example1.pgd"))
+    table.layer(5)
+    # layers 4 and 5 are empty, but no dyadic window is closed yet
+    assert not any(table.exhausted_at(length) for length in range(1, 6))
+    table.layer(7)
+    # layers 1..7 hold 13, 8, 2, 0, 0, 0, 0 words
+    assert [table.exhausted_at(length) for length in range(1, 8)] == [False] * 2 + [True] * 5
+
+
 @pytest.mark.parametrize("name, make", EQUIVALENCE_MODELS)
 def test_mean_scan_matches_brute_force(name, make):
     model = make()
@@ -323,19 +334,29 @@ def test_bounded_scan_matches_full_layers_on_sub_nerves(which, seed, edge_p, tri
 
 
 def _scan_layers(monkeypatch, scan):
-    """(length, size, exhausted_at) of every layer one scan fetches."""
+    """(length, value index, exhausted_at) of every layer one scan fetches,
+    and the scan's result."""
     seen = []
     build = ValueTable.layer
 
     def recording_layer(table, length):
         out = build(table, length)
-        seen.append((length, len(out), table.exhausted_at(length)))
+        seen.append((length, table.by_value[length], table.exhausted_at(length)))
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(ValueTable, "layer", recording_layer)
-        scan()
-    return seen
+        result = scan()
+    return seen, result
+
+
+def _parallel_reached(model, index, among):
+    """The values of ``index`` in ``among`` (None: all) that share both ends
+    with another such value."""
+    reached = [v for v in index if among is None or v in among]
+    ends = {v: (model.edge(v).src, model.edge(v).tgt) for v in reached}
+    counts = Counter(ends.values())
+    return {v for v in reached if counts[ends[v]] > 1}
 
 
 def _ascending_half():
@@ -366,23 +387,25 @@ def _full_exhaustion(model, max_len):
                          ids=[name for name, _ in _exhaustion_models()])
 def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, model):
     full = _full_exhaustion(model, max(SCAN_BOUNDS))
+    full_table = ValueTable(model)
+    full_table.layer(max(SCAN_BOUNDS))
     pairs = _parallel_pairs(model)[:3]
     for bound in SCAN_BOUNDS:
-        scans = [lambda: pg.mean_scan(model, bound, collect_all=True)]
-        scans += [lambda f=f, g=g: pg.mountain(model, f, g, bound) for f, g in pairs]
-        for scan in scans:
-            seen = _scan_layers(monkeypatch, scan)
+        scans = [(None, lambda: pg.mean_scan(model, bound, collect_all=True))]
+        scans += [({f, g}, lambda f=f, g=g: pg.mountain(model, f, g, bound))
+                  for f, g in pairs]
+        for among, scan in scans:
+            seen, _ = _scan_layers(monkeypatch, scan)
             if seen[-1][0] < bound:
                 # a scan stops early only on exhaustion (mountain also on a find)
-                assert seen[-1][2] or scan is not scans[0]
-            *below, top = seen
-            assert below == full[:len(below)]
-            length, size, exhausted = top
-            assert exhausted == full[length - 2][2]
-            if length < bound:
-                assert size == full[length - 2][1]
-            else:
-                assert size <= full[length - 2][1]
+                assert seen[-1][2] or among is not None
+            for length, index, exhausted in seen:
+                full_index = full_table.by_value[length]
+                assert exhausted == full[length - 2][2]
+                # every kept set is complete, and the kept values hold
+                # every parallel value reached at that length
+                assert all(index[v] == full_index[v] for v in index)
+                assert _parallel_reached(model, full_index, among) <= set(index)
 
 
 def test_exhaustion_closes_on_the_last_layer():
@@ -400,6 +423,42 @@ def test_exhaustion_closes_on_the_last_layer():
     assert not table.layer(7) and not table.exhausted_at(7)
     with pytest.raises(pg.WordError):
         table.layer(8)
+
+
+def _disjoint_union(m1, m2):
+    """Two symmetric models with disjoint object and edge names side by side."""
+    return pg.TruncatedModel(pg.model.SYMMETRIC, m1.objects + m2.objects,
+                             [*m1.edges.values(), *m2.edges.values()],
+                             m1.triangles | m2.triangles)
+
+
+def test_values_that_reach_no_parallel_pair_get_no_set(monkeypatch):
+    pair3 = pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c"]))
+    model = _disjoint_union(pair3, load("na_square.pgd"))
+    full = FullScan(model, 6)
+    for bound in range(3, 7):
+        for collect_all in (False, True):
+            seen, scan = _scan_layers(
+                monkeypatch, lambda: pg.mean_scan(model, bound, collect_all=collect_all))
+            assert all(pair3.edges.keys().isdisjoint(index) for _, index, _ in seen)
+            assert (scan.witness, scan.witness_values, scan.sad_edges,
+                    scan.mean_word_count) == full.mean_scan(bound, collect_all)
+        seen, word = _scan_layers(monkeypatch, lambda: pg.mountain(model, "lT", "lT'", bound))
+        assert all(pair3.edges.keys().isdisjoint(index) for _, index, _ in seen)
+        assert word == full.mountain("lT", "lT'", bound)
+    assert full.mountain("lT", "lT'", 6) is not None
+
+
+@pytest.mark.parametrize("model", [load("a_square.pgd"), horn_symmetric(),
+                                   pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c"]))],
+                         ids=["a_square", "horn symmetrized", "pair(3) nerve"])
+def test_models_without_parallel_edges_build_no_word(monkeypatch, model):
+    assert not _parallel_pairs(model)
+    for bound in (2, 5, 8):
+        seen, _ = _scan_layers(monkeypatch,
+                               lambda: pg.mean_scan(model, bound, collect_all=True))
+        assert [length for length, _, _ in seen] == list(range(2, bound + 1))
+        assert not any(index for _, index, _ in seen)
 
 
 def test_layer_at_the_bound_keeps_parallel_values_among():
