@@ -183,10 +183,8 @@ class TruncatedModel:
         the spine collision instead of silently losing the fault.
         """
         out = set()
-        for t in map(tuple, triangles):
-            if t in out:  # its orbit is already in
-                continue
-            for img in orbit_images(t, self.inv):
+        for t in triangles:
+            for img in orbit_images(tuple(t), self.inv):
                 if self._degenerate_value(img[0], img[1]) == img[2]:
                     continue
                 out.add(img)
@@ -401,26 +399,18 @@ class TruncatedModel:
                 yield t, product
 
     def _validate_orbits(self):
-        """Each stored triangle's missing images, in sorted order.
-
-        The images form the triangle's orbit, which every member shares,
-        so the members of an orbit found complete are skipped.
-        """
         out = []
-        complete = set()
         for t in sorted(self.triangles):
-            if t in complete:
-                continue
-            images = orbit_images(t, self.inv)
-            gaps = [img for img in images if img not in self.triangles
-                    and self._degenerate_value(img[0], img[1]) != img[2]]
-            if not gaps:
-                complete.update(images)
-            out.extend(Violation(
-                "orbit-gap",
-                f"image {img} of stored triangle {t} is missing",
-                witness=(t, img),
-            ) for img in gaps)
+            for img in orbit_images(t, self.inv):
+                if img in self.triangles:
+                    continue
+                if self._degenerate_value(img[0], img[1]) == img[2]:
+                    continue
+                out.append(Violation(
+                    "orbit-gap",
+                    f"image {img} of stored triangle {t} is missing",
+                    witness=(t, img),
+                ))
         return out
 
     def _validate_cancellation(self):
@@ -484,12 +474,8 @@ class TruncatedModel:
         """
         if self.mode != SYMMETRIC:
             return tuple(sorted(self.triangles))
-        reps, listed = set(), set()
-        for t in self.triangles:
-            if t not in listed:
-                images = orbit_images(t, self.inv)
-                listed.update(images)
-                reps.add(min(images, key=word_sort_key))
+        reps = {min(orbit_images(t, self.inv), key=word_sort_key)
+                for t in self.triangles}
         return tuple(sorted(reps))
 
 

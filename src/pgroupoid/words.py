@@ -148,26 +148,21 @@ class ValueTable:
     value index ``by_value[L]``: value -> set of packed words.  A word with
     several values sits in several sets.
 
-    Beside the words, ``reach[L]`` holds every value that some word of
-    length L has.  Two words whose values compose always concatenate into
-    a word, so the reach sets follow from products of values alone and
-    are exact whatever word sets are left out; emptiness and exhaustion
-    are read from them.
-
-    With a ``bound``, layer ``bound`` is the last one the table builds,
-    and the table builds only the value sets a reader within the bound
-    can use.  A mean word's values are parallel to each other, so a word
-    with two values in ``among`` (None: every edge) has them among the
-    seeds, the values of ``among`` parallel to another one; every lower
-    layer keeps the sets of the seeds and of their factors, closed under
-    products (:func:`_needed`), and layer ``bound`` keeps only the seeds
+    With a ``bound``, layer ``bound`` is the last one the table builds.  It
+    holds only the sets of the values in ``among`` (None: every value)
     that some word of that length has and that are parallel to another
-    such value (:func:`_parallel_values`).  A kept set is joined only
-    from kept sets of its factors, so by induction on length every kept
-    set is complete, and a word with two values in ``among`` lies in all
-    of its sets there: :func:`mean_scan` reads every value,
-    :func:`mountain` f and g.  Without a bound every layer is built in
-    full.
+    such value (:func:`_parallel_values`).  No layer is ever joined from
+    it, so every lower layer stays complete, and exhaustion is still
+    exact: the layer is empty exactly when it has no productive split,
+    whatever it drops.  A word with two values in ``among`` has them in
+    one parallel class, so it is kept with all of its values there:
+    :func:`mean_scan` reads every value, :func:`mountain` f and g.
+
+    For the same reason no reader within the bound can use a word when
+    ``among`` (None: every edge) holds no two parallel edges.  Such a
+    table starts from empty letter sets, so every set it builds is empty:
+    it joins no word, but its keys, the values some word of each length
+    has, are still exact, and so are emptiness and exhaustion.
     """
 
     def __init__(self, model: TruncatedModel, bound: int | None = None,
@@ -177,16 +172,17 @@ class ValueTable:
         self.among = among
         self.letters = model.nonidentity_edges()
         self.bits = max(1, (len(self.letters) - 1).bit_length())
-        self.by_value = [{}, {e: {i} for i, e in enumerate(self.letters)}]
-        self.reach = [set(), set(self.letters)]
-        self.need = None if bound is None else _needed(model, among)
+        pool = model.edges if among is None else among
+        ends = {(e.src, e.tgt) for e in map(model.edge, pool)}
+        idle = bound is not None and len(ends) == len(pool)
+        self.by_value = [{}, {e: set() if idle else {i} for i, e in enumerate(self.letters)}]
         self._exhausted = False
 
     def layer(self, length: int) -> set[int]:
         """The packed valued words of one length, building lower layers first.
 
-        For a bounded table, layers 2 and up hold only the words of the
-        value sets it keeps.
+        Empty at every length for a bounded table whose ``among`` holds no
+        two parallel edges.
         """
         if self.bound is not None and length > self.bound:
             raise WordError(f"layer {length} lies beyond the table's bound {self.bound}")
@@ -202,54 +198,51 @@ class ValueTable:
     def _build_next(self):
         """Layer L: for each split k and product v1·v2 = h, every word of
         length k and value v1 followed by one of length L-k and value v2
-        has value h.  The jobs are listed first over the reach sets, per
-        (k, v1) as pairs of h and v2; the values they reach are the next
-        reach set, which decides emptiness and exhaustion.  Words are then
-        joined only for the jobs whose h the table keeps at this length.
-        After exhaustion every split meets an empty layer."""
-        size = len(self.reach)
+        has value h.  The jobs are listed first, per (k, v1) as pairs of h
+        and the v2 words; a job always makes the set of h, so the list
+        decides emptiness before the bound drops the jobs of values it does
+        not keep.  After exhaustion every split meets an empty layer."""
+        size = len(self.by_value)
         jobs = []
-        reached = set()
         for k in range(1, size):
-            right = self.reach[size - k]
-            for v1 in self.reach[k]:
-                pairs = [(h, v2) for v2, h in self.model.products_from(v1).items()
+            right = self.by_value[size - k]
+            for v1 in self.by_value[k]:
+                pairs = [(h, right[v2]) for v2, h in self.model.products_from(v1).items()
                          if v2 in right]
                 if pairs:
                     jobs.append((k, v1, pairs))
-                    reached.update(h for h, _ in pairs)
-        if not reached and not any(self.reach[(size + 1) // 2:]):
+        if not jobs and not any(self.by_value[(size + 1) // 2:]):
             self._exhausted = True
-        kept = self.need
         if size == self.bound:
-            kept = _parallel_values(self.model, reached if self.among is None
-                                    else reached & self.among)
+            reached = {h for _, _, pairs in jobs for h, _ in pairs}
+            if self.among is not None:
+                reached &= self.among
+            kept = _parallel_values(self.model, reached)
+            jobs = [(k, v1, [pair for pair in pairs if pair[0] in kept])
+                    for k, v1, pairs in jobs]
         acc: dict[str, set[int]] = {}
         for k, v1, pairs in jobs:
-            if kept is not None:
-                pairs = [pair for pair in pairs if pair[0] in kept]
-                if not pairs:
-                    continue
-            right = self.by_value[size - k]
+            if not pairs:
+                continue
             shift = self.bits * (size - k)
             shifted = [w << shift for w in self.by_value[k][v1]]
-            for h, v2 in pairs:
+            for h, words in pairs:
                 target = acc.get(h)
                 if target is None:
                     target = acc[h] = set()
-                target.update(starmap(or_, product(shifted, right[v2])))
-        self.reach.append(reached)
+                target.update(starmap(or_, product(shifted, words)))
         self.by_value.append(acc)
 
     def exhausted_at(self, length: int) -> bool:
         """True when every layer beyond ``length`` is known to be empty.
 
-        Exhaustion is proven at the first built layer that closes an empty
-        dyadic window of reach sets: every longer word then lacks a
-        productive split.  After that, the answer holds for any
-        ``length`` whose later built reach sets are all empty.
+        Valid once layer ``length`` has been built.  Exhaustion is proven
+        at the first layer that closes an empty dyadic window of layers:
+        every longer word then lacks a productive split.  After that the
+        answer holds for any ``length`` whose later built layers are all
+        empty.
         """
-        return self._exhausted and not any(self.reach[length + 1:])
+        return self._exhausted and not any(self.by_value[length + 1:])
 
 
 def _parallel_values(model: TruncatedModel, reached):
@@ -262,36 +255,6 @@ def _parallel_values(model: TruncatedModel, reached):
     ends = {h: (model.edge(h).src, model.edge(h).tgt) for h in reached}
     counts = Counter(ends.values())
     return {h for h, pair in ends.items() if counts[pair] > 1}
-
-
-def _needed(model: TruncatedModel, among) -> set[str] | None:
-    """The values a bounded scan among ``among`` (None: every edge) reads
-    below its bound, or None when that may be every value.
-
-    The seeds are the edges of ``among`` (None: of the model) that share
-    source and target with another one; a value is needed if it is a
-    seed or a factor v1 or v2 of a product v1·v2 = h (degenerate products
-    included) with h needed.  None when every edge has a parallel
-    partner, as on every single-object model, or when the closure reaches
-    every edge.
-    """
-    edges = model.edges
-    need = _parallel_values(model, edges)
-    if len(need) == len(edges):
-        return None
-    if among is not None:
-        need = _parallel_values(model, among)
-    grown = bool(need)
-    while grown:
-        grown = False
-        for v1 in edges:
-            for v2, h in model.products_from(v1).items():
-                if h in need and (v1 not in need or v2 not in need):
-                    need.update((v1, v2))
-                    grown = True
-        if len(need) == len(edges):
-            return None
-    return need
 
 
 # -- mean/kind scan ------------------------------------------------------------
@@ -370,11 +333,10 @@ def mean_scan(model: TruncatedModel, max_len: int, *,
               collect_all: bool = False) -> MeanScanResult:
     """Search composable words of length 2..max_len for a mean word.
 
-    Lower layers keep only the value sets of edges with a parallel
-    partner and of their factors (:func:`_needed`), and layer ``max_len``
-    only the values of parallel classes that reach two values at that
-    length (:func:`_parallel_values`): a class with one reachable value
-    holds no mean word there, and no longer layer is built.
+    Layer ``max_len`` keeps only the values of parallel classes that reach
+    two values at that length (:func:`_parallel_values`): a class with one
+    reachable value holds no mean word there, and no longer layer is built.
+    A model with no two parallel edges joins no word (:class:`ValueTable`).
     """
     if max_len < 2:
         raise WordError("mean scan needs max_len >= 2")
@@ -523,8 +485,8 @@ def mountain(model: TruncatedModel, f: str, g: str,
     of :func:`mean_scan` among {f, g} decides: the witness is the shortest
     such word, first in :func:`word_sort_key` order, re-checked with
     :func:`values`, and an absent verdict is exhaustive at the bound.
-    Lower layers keep only the value sets of f, g and their factors, and
-    layer ``max_len`` only those of f and g, when both are reachable there.
+    Layer ``max_len`` keeps only the value sets of f and g, and only when
+    both are reachable there.
     """
     ef, eg = model.edge(f), model.edge(g)
     if (ef.src, ef.tgt) != (eg.src, eg.tgt):

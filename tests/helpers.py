@@ -6,8 +6,7 @@ sequences, bounded scans are read off layers all built in full,
 triangulations by filtering non-crossing diagonal subsets,
 starry membership by enumerating pullbacks of simplices, normal forms by
 rewriting in random order, reflection merges by re-deriving degenerate
-products on class names, peeled maps by renaming edges, triangle orbits
-by taking all six images of every triangle, and categories
+products on class names, peeled maps by renaming edges, and categories
 come from a pool of hand-rolled constructions.
 """
 from __future__ import annotations
@@ -366,48 +365,6 @@ def renamed_peel_step(t, t2, hom, target):
         else:
             emap[name] = hom.edge(big_names[name])
     return small, pg.Hom.of(vmap, emap)
-
-
-# -- per-triangle orbit paths ------------------------------------------------------
-
-
-def listed_close_triangles(model, triangles):
-    """``TruncatedModel._close_triangles`` computing all six images of every
-    input triangle, even one already in the closure."""
-    out = set()
-    for t in triangles:
-        for img in orbit_images(tuple(t), model.inv):
-            if model._degenerate_value(img[0], img[1]) == img[2]:
-                continue
-            out.add(img)
-    return out
-
-
-def listed_orbit_gaps(model):
-    """``TruncatedModel._validate_orbits`` computing all six images of every
-    stored triangle, even one of an orbit already found complete."""
-    out = []
-    for t in sorted(model.triangles):
-        for img in orbit_images(t, model.inv):
-            if img in model.triangles:
-                continue
-            if model._degenerate_value(img[0], img[1]) == img[2]:
-                continue
-            out.append(pg.model.Violation(
-                "orbit-gap",
-                f"image {img} of stored triangle {t} is missing",
-                witness=(t, img),
-            ))
-    return out
-
-
-def listed_triangle_orbits(model):
-    """``TruncatedModel.triangle_orbits`` taking the least image of every
-    stored triangle, even one already listed."""
-    if model.mode != pg.model.SYMMETRIC:
-        return tuple(sorted(model.triangles))
-    reps = {min(orbit_images(t, model.inv), key=word_sort_key) for t in model.triangles}
-    return tuple(sorted(reps))
 
 
 # -- category pool -----------------------------------------------------------------

@@ -308,7 +308,7 @@ def test_acceptance_14_a_square_kind_at_length_ten(monkeypatch):
         patch.setattr(ValueTable, "layer", recording_layer)
         assert pg.mean_scan(a_square, 10).is_kind
     # no two edges of a_square (identities included) are parallel, so no
-    # value can reach a parallel pair and the scan keeps no value set
+    # word can have two values and the scan joins no word
     ends = [(e.src, e.tgt) for e in map(a_square.edge, a_square.edges)]
     assert len(set(ends)) == len(ends)
     assert sizes == {L: 0 for L in range(2, 11)}

@@ -1,22 +1,9 @@
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import pgroupoid as pg
-from pgroupoid.model import SIMPLICIAL, SYMMETRIC, orbit_images
+from pgroupoid.model import orbit_images
 
-from helpers import (
-    MODEL_FIXTURES,
-    SUB_NERVE_GROUPOIDS,
-    example1_symmetric,
-    horn_symmetric,
-    listed_close_triangles,
-    listed_orbit_gaps,
-    listed_triangle_orbits,
-    load,
-    sub_nerve,
-)
+from helpers import example1_symmetric, horn_symmetric, load
 
 
 def test_example1_fixture_validates():
@@ -150,66 +137,6 @@ def test_orbit_closure_size_divides_six_and_idempotent():
             assert orbit <= tris
         again = model._close_triangles(sorted(tris))
         assert frozenset(again) == tris
-
-
-def _check_orbit_paths(model, rng):
-    """The orbit methods equal their per-triangle oracles; returns the
-    number of orbit gaps."""
-    assert model.triangle_orbits() == listed_triangle_orbits(model)
-    if model.mode != SYMMETRIC:
-        return 0
-    gaps = model._validate_orbits()
-    assert gaps == listed_orbit_gaps(model)
-    tris = sorted(model.triangles)
-    rng.shuffle(tris)
-    for given_tris in (tris, list(model.triangle_orbits()), tris[: len(tris) // 2]):
-        assert model._close_triangles(given_tris) == listed_close_triangles(model, given_tris)
-    return len(gaps)
-
-
-def _dropped(model, rng, keep_p):
-    """The raw symmetric model that keeps each stored triangle of ``model``
-    with probability ``keep_p``, with no orbit closure."""
-    kept = [t for t in sorted(model.triangles) if rng.random() < keep_p]
-    return pg.TruncatedModel(model.mode, model.objects, list(model.edges.values()), kept)
-
-
-def _orbit_models():
-    for name in MODEL_FIXTURES:
-        model = load(name)
-        yield model
-        if model.mode == SIMPLICIAL:
-            yield pg.symmetrize(model)
-    for group in SUB_NERVE_GROUPOIDS + (pg.cyclic_group(5),):
-        yield pg.nerve_truncation(group)
-    for n in (3, 4):
-        tris = pg.enumerate_triangulations(n)
-        for t in tris:
-            for t2 in tris:
-                if pg.pair_classify(t, t2) != pg.INCOMPATIBLE:
-                    yield pg.build_glued(t, t2).model
-
-
-def test_orbit_paths_match_the_per_triangle_oracles():
-    rng = random.Random(7)
-    gaps = 0
-    for model in _orbit_models():
-        assert _check_orbit_paths(model, rng) == 0
-        if model.mode == SYMMETRIC:
-            for keep_p in (0.5, 0.8, 0.95):
-                gaps += _check_orbit_paths(_dropped(model, rng, keep_p), rng)
-    assert gaps  # the dropped models do report gaps
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(range(len(SUB_NERVE_GROUPOIDS))), st.integers(0, 2**32),
-       st.floats(0.5, 1.0), st.floats(0.5, 1.0), st.floats(0.3, 1.0))
-def test_orbit_paths_match_the_per_triangle_oracles_on_sub_nerves(which, seed, edge_p,
-                                                                  tri_p, keep_p):
-    rng = random.Random(seed)
-    model = sub_nerve(pg.nerve_truncation(SUB_NERVE_GROUPOIDS[which]), rng, edge_p, tri_p)
-    assert _check_orbit_paths(model, rng) == 0
-    _check_orbit_paths(_dropped(model, rng, keep_p), rng)
 
 
 def test_validation_idempotent_after_normalization():

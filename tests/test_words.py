@@ -334,8 +334,7 @@ def test_bounded_scan_matches_full_layers_on_sub_nerves(which, seed, edge_p, tri
 
 
 def _scan_layers(monkeypatch, scan):
-    """(length, value index, exhausted_at) of every layer one scan fetches,
-    and the scan's result."""
+    """(length, value index, exhausted_at) of every layer one scan fetches."""
     seen = []
     build = ValueTable.layer
 
@@ -346,8 +345,8 @@ def _scan_layers(monkeypatch, scan):
 
     with monkeypatch.context() as patch:
         patch.setattr(ValueTable, "layer", recording_layer)
-        result = scan()
-    return seen, result
+        scan()
+    return seen
 
 
 def _parallel_reached(model, index, among):
@@ -395,17 +394,21 @@ def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, mode
         scans += [({f, g}, lambda f=f, g=g: pg.mountain(model, f, g, bound))
                   for f, g in pairs]
         for among, scan in scans:
-            seen, _ = _scan_layers(monkeypatch, scan)
+            seen = _scan_layers(monkeypatch, scan)
             if seen[-1][0] < bound:
                 # a scan stops early only on exhaustion (mountain also on a find)
                 assert seen[-1][2] or among is not None
+            idle = not _parallel_reached(model, model.edges, among)
             for length, index, exhausted in seen:
                 full_index = full_table.by_value[length]
                 assert exhausted == full[length - 2][2]
-                # every kept set is complete, and the kept values hold
-                # every parallel value reached at that length
-                assert all(index[v] == full_index[v] for v in index)
-                assert _parallel_reached(model, full_index, among) <= set(index)
+                if length < bound:
+                    assert index.keys() == full_index.keys()
+                # every set is complete, or empty when no two edges among
+                # ``among`` are parallel, and the sets hold every parallel
+                # value reached at that length
+                assert all(index[v] == (set() if idle else full_index[v]) for v in index)
+                assert _parallel_reached(model, full_index, among) <= index.keys()
 
 
 def test_exhaustion_closes_on_the_last_layer():
@@ -425,40 +428,15 @@ def test_exhaustion_closes_on_the_last_layer():
         table.layer(8)
 
 
-def _disjoint_union(m1, m2):
-    """Two symmetric models with disjoint object and edge names side by side."""
-    return pg.TruncatedModel(pg.model.SYMMETRIC, m1.objects + m2.objects,
-                             [*m1.edges.values(), *m2.edges.values()],
-                             m1.triangles | m2.triangles)
-
-
-def test_values_that_reach_no_parallel_pair_get_no_set(monkeypatch):
-    pair3 = pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c"]))
-    model = _disjoint_union(pair3, load("na_square.pgd"))
-    full = FullScan(model, 6)
-    for bound in range(3, 7):
-        for collect_all in (False, True):
-            seen, scan = _scan_layers(
-                monkeypatch, lambda: pg.mean_scan(model, bound, collect_all=collect_all))
-            assert all(pair3.edges.keys().isdisjoint(index) for _, index, _ in seen)
-            assert (scan.witness, scan.witness_values, scan.sad_edges,
-                    scan.mean_word_count) == full.mean_scan(bound, collect_all)
-        seen, word = _scan_layers(monkeypatch, lambda: pg.mountain(model, "lT", "lT'", bound))
-        assert all(pair3.edges.keys().isdisjoint(index) for _, index, _ in seen)
-        assert word == full.mountain("lT", "lT'", bound)
-    assert full.mountain("lT", "lT'", 6) is not None
-
-
 @pytest.mark.parametrize("model", [load("a_square.pgd"), horn_symmetric(),
                                    pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c"]))],
                          ids=["a_square", "horn symmetrized", "pair(3) nerve"])
 def test_models_without_parallel_edges_build_no_word(monkeypatch, model):
     assert not _parallel_pairs(model)
     for bound in (2, 5, 8):
-        seen, _ = _scan_layers(monkeypatch,
-                               lambda: pg.mean_scan(model, bound, collect_all=True))
+        seen = _scan_layers(monkeypatch, lambda: pg.mean_scan(model, bound, collect_all=True))
         assert [length for length, _, _ in seen] == list(range(2, bound + 1))
-        assert not any(index for _, index, _ in seen)
+        assert not any(words for _, index, _ in seen for words in index.values())
 
 
 def test_layer_at_the_bound_keeps_parallel_values_among():
