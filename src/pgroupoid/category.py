@@ -6,21 +6,22 @@ and model files agree on identity tokens.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import IDENTITY_PREFIX
+from .records import Record
 
 
 class CategoryError(ValueError):
     """Structurally or semantically invalid category data."""
 
 
-@dataclass(frozen=True)
-class Morphism:
-    name: str
-    src: str
-    tgt: str
-    is_identity: bool = False
+class Morphism(Record, frozen=True):
+    __slots__ = ("name", "src", "tgt", "is_identity")
+
+    def __init__(self, name: str, src: str, tgt: str, is_identity: bool = False):
+        self.name = name
+        self.src = src
+        self.tgt = tgt
+        self.is_identity = is_identity
 
 
 class FiniteCategory:

@@ -9,20 +9,21 @@ the cone criterion on the triangulation pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import SYMMETRIC, TruncatedModel, identity_name
 from .polygon import INCOMPATIBLE, Triangulation, pair_classify
+from .records import Record
 
 
 class DegreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StarryWord:
-    source: str
-    legs: tuple[str, ...]
+class StarryWord(Record, frozen=True):
+    __slots__ = ("source", "legs")
+
+    def __init__(self, source: str, legs: tuple[str, ...]):
+        self.source = source
+        self.legs = legs
 
 
 def _require_symmetric(model):

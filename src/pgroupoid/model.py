@@ -24,8 +24,7 @@ every operation in this package is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from .records import Record
 
 SYMMETRIC = "symmetric"
 SIMPLICIAL = "simplicial"
@@ -55,15 +54,18 @@ def identity_name(obj: str) -> str:
     return IDENTITY_PREFIX + obj
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record, frozen=True):
     """A 1-simplex.  ``inv`` is the involution partner (symmetric mode only)."""
 
-    name: str
-    src: str
-    tgt: str
-    inv: str | None = None
-    is_identity: bool = False
+    __slots__ = ("name", "src", "tgt", "inv", "is_identity")
+
+    def __init__(self, name: str, src: str, tgt: str, inv: str | None = None,
+                 is_identity: bool = False):
+        self.name = name
+        self.src = src
+        self.tgt = tgt
+        self.inv = inv
+        self.is_identity = is_identity
 
 
 def orbit_images(tri: tuple[str, str, str], inv) -> tuple[tuple[str, str, str], ...]:
@@ -84,20 +86,24 @@ def orbit_images(tri: tuple[str, str, str], inv) -> tuple[tuple[str, str, str], 
     )
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-    witness: tuple = ()
+class Violation(Record, frozen=True):
+    __slots__ = ("kind", "detail", "witness")
+
+    def __init__(self, kind: str, detail: str, witness: tuple = ()):
+        self.kind = kind
+        self.detail = detail
+        self.witness = witness
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: list[Violation] | None = None):
+        self.ok = ok
+        self.violations = [] if violations is None else violations
 
     def __bool__(self) -> bool:
         return self.ok
@@ -540,27 +546,28 @@ def nerve_truncation(cat, mode: str = SYMMETRIC) -> TruncatedModel:
 # -- maps of models --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hom:
-    """A structure-preserving map between models of the same mode."""
+class Hom(Record, frozen=True):
+    """A structure-preserving map between models of the same mode.
 
-    vertex_map: tuple[tuple[str, str], ...]
-    edge_map: tuple[tuple[str, str], ...]
+    ``vertices`` and ``edges`` are the two maps as dicts, built once per
+    hom and shared, so callers must not mutate them; equality, hashing
+    and ``repr`` stay on the tuple fields.
+    """
+
+    _fields = ("vertex_map", "edge_map")
+    __slots__ = _fields + ("vertices", "edges")
+
+    def __init__(self, vertex_map: tuple[tuple[str, str], ...],
+                 edge_map: tuple[tuple[str, str], ...]):
+        self.vertex_map = vertex_map
+        self.edge_map = edge_map
+        self.vertices = dict(vertex_map)
+        self.edges = dict(edge_map)
 
     @classmethod
     def of(cls, vertex_map: dict, edge_map: dict) -> "Hom":
         return cls(tuple(sorted(vertex_map.items())),
                    tuple(sorted(edge_map.items())))
-
-    # Built once per hom and shared, so callers must not mutate them;
-    # equality and hashing stay on the tuple fields.
-    @cached_property
-    def vertices(self) -> dict[str, str]:
-        return dict(self.vertex_map)
-
-    @cached_property
-    def edges(self) -> dict[str, str]:
-        return dict(self.edge_map)
 
     def vertex(self, obj: str) -> str:
         return self.vertices[obj]

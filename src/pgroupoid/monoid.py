@@ -12,10 +12,9 @@ unique; the normal forms (reduced jagged strings) form a monoid under
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .category import FiniteCategory, CategoryError
 from .model import Edge, ModelError, SYMMETRIC, TruncatedModel, identity_name
+from .records import Record
 
 
 class RewriteError(ValueError):
@@ -66,11 +65,13 @@ def normalize(cat: FiniteCategory, entries) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record, frozen=True):
     """A reduced jagged string: no identities, no composable neighbours."""
 
-    entries: tuple[str, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[str, ...]):
+        self.entries = entries
 
     @classmethod
     def of(cls, cat: FiniteCategory, entries) -> "NormalForm":
@@ -109,11 +110,14 @@ def monoid_inverse(cat: FiniteCategory, x: NormalForm) -> NormalForm:
 # -- the embedding check -----------------------------------------------------------
 
 
-@dataclass
-class EmbedReport:
-    ok: bool
-    image: tuple[NormalForm, ...]
-    failures: tuple[str, ...] = ()
+class EmbedReport(Record):
+    __slots__ = ("ok", "image", "failures")
+
+    def __init__(self, ok: bool, image: tuple[NormalForm, ...],
+                 failures: tuple[str, ...] = ()):
+        self.ok = ok
+        self.image = image
+        self.failures = failures
 
 
 def embed_check(cat: FiniteCategory) -> EmbedReport:

@@ -14,13 +14,13 @@ names, so gluings are limited to n <= MAX_GLUED_N, far beyond desk scale here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import words as _words
 from .model import (SYMMETRIC, Hom, ModelError, TruncatedModel, identity_name,
                     verify_hom)
 from .model import iter_homs  # noqa: F401  perfbench's tracer reads polygon.iter_homs
+from .records import Record
 
 MAX_GLUED_N = 9  # one digit per vertex in glued diagonal names
 
@@ -33,12 +33,14 @@ class GluingError(ValueError):
     """The requested gluing is not permitted for this pair."""
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(Record, frozen=True):
     """n-1 triangles covering the (n+1)-gon with vertices 0..n."""
 
-    n: int
-    triples: frozenset[tuple[int, int, int]]
+    __slots__ = ("n", "triples")
+
+    def __init__(self, n: int, triples: frozenset[tuple[int, int, int]]):
+        self.n = n
+        self.triples = triples
 
     @classmethod
     def of(cls, n: int, triples) -> "Triangulation":
@@ -250,16 +252,20 @@ def flip_adjacent(t: Triangulation, t2: Triangulation) -> bool:
 # -- glued models -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GluedModel:
-    model: TruncatedModel
-    n: int
-    variant: str
-    t: Triangulation
-    t2: Triangulation
-    spine: tuple[str, ...]
-    long_t: str
-    long_t2: str
+class GluedModel(Record, frozen=True):
+    __slots__ = ("model", "n", "variant", "t", "t2", "spine", "long_t", "long_t2")
+
+    def __init__(self, model: TruncatedModel, n: int, variant: str,
+                 t: Triangulation, t2: Triangulation, spine: tuple[str, ...],
+                 long_t: str, long_t2: str):
+        self.model = model
+        self.n = n
+        self.variant = variant
+        self.t = t
+        self.t2 = t2
+        self.spine = spine
+        self.long_t = long_t
+        self.long_t2 = long_t2
 
 
 def _edge_name(n, prefix, i, j, circular):
@@ -336,13 +342,16 @@ def _glued_model(t: Triangulation, t2: Triangulation, variant: str) -> GluedMode
 # -- peeling off shared wrap triangles ---------------------------------------------
 
 
-@dataclass
-class PeelResult:
-    t: Triangulation
-    t2: Triangulation
-    hom: Hom
-    target: TruncatedModel
-    steps: int
+class PeelResult(Record):
+    __slots__ = ("t", "t2", "hom", "target", "steps")
+
+    def __init__(self, t: Triangulation, t2: Triangulation, hom: Hom,
+                 target: TruncatedModel, steps: int):
+        self.t = t
+        self.t2 = t2
+        self.hom = hom
+        self.target = target
+        self.steps = steps
 
 
 def _delete_wrap(t: Triangulation, shift: int) -> Triangulation:
@@ -417,13 +426,17 @@ def factor_through_circular(glued: GluedModel, hom: Hom) -> Hom:
     return Hom.of(hom.vertices, emap)
 
 
-@dataclass
-class OrthogonalityResult:
-    ok: bool
-    max_n: int
-    violator: tuple[Triangulation, Triangulation, Hom] | None = None
-    pairs_checked: int = 0
-    homs_checked: int = 0
+class OrthogonalityResult(Record):
+    __slots__ = ("ok", "max_n", "violator", "pairs_checked", "homs_checked")
+
+    def __init__(self, ok: bool, max_n: int,
+                 violator: tuple[Triangulation, Triangulation, Hom] | None = None,
+                 pairs_checked: int = 0, homs_checked: int = 0):
+        self.ok = ok
+        self.max_n = max_n
+        self.violator = violator
+        self.pairs_checked = pairs_checked
+        self.homs_checked = homs_checked
 
 
 def orthogonality_check(target: TruncatedModel, max_n: int) -> OrthogonalityResult:

@@ -17,11 +17,11 @@ lexicographically.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain, product, starmap
 from operator import or_
 
 from .model import SYMMETRIC, Edge, TruncatedModel, identity_name, word_sort_key
+from .records import Record
 
 
 class WordError(ValueError):
@@ -260,8 +260,7 @@ def _parallel_values(model: TruncatedModel, reached):
 # -- mean/kind scan ------------------------------------------------------------
 
 
-@dataclass
-class MeanScanResult:
+class MeanScanResult(Record):
     """Outcome of a bounded search for mean words.
 
     ``witness`` is None for a bounded-kind verdict; otherwise it is the
@@ -271,11 +270,17 @@ class MeanScanResult:
     ``collect_all``).
     """
 
-    bound: int
-    witness: tuple[str, ...] | None = None
-    witness_values: tuple[str, ...] = ()
-    sad_edges: tuple[str, ...] = ()
-    mean_word_count: int = 0
+    __slots__ = ("bound", "witness", "witness_values", "sad_edges",
+                 "mean_word_count")
+
+    def __init__(self, bound: int, witness: tuple[str, ...] | None = None,
+                 witness_values: tuple[str, ...] = (),
+                 sad_edges: tuple[str, ...] = (), mean_word_count: int = 0):
+        self.bound = bound
+        self.witness = witness
+        self.witness_values = witness_values
+        self.sad_edges = sad_edges
+        self.mean_word_count = mean_word_count
 
     @property
     def is_kind(self) -> bool:
@@ -293,7 +298,7 @@ def _scan(model: TruncatedModel, max_len: int, among: set[str] | None,
     :func:`values`; the scan stops there unless ``collect_all``, and on
     exhaustion.
     """
-    result = MeanScanResult(bound=max_len)
+    witness, witness_values, count = None, (), 0
     sad: set[str] = set()
     table = ValueTable(model, max_len, among)
     for length in range(2, max_len + 1):
@@ -306,27 +311,25 @@ def _scan(model: TruncatedModel, max_len: int, among: set[str] | None,
         if sum(map(len, index.values())) > len(layer):
             counts = Counter(chain.from_iterable(index.values()))
             found = {w for w, n in counts.items() if n > 1}
-            if result.witness is None:
-                word, packed = min(((table.decode(w, length), w) for w in found),
-                                   key=lambda pair: word_sort_key(pair[0]))
-                result.witness = word
-                result.witness_values = tuple(sorted(
+            if witness is None:
+                witness, packed = min(((table.decode(w, length), w) for w in found),
+                                      key=lambda pair: word_sort_key(pair[0]))
+                witness_values = tuple(sorted(
                     v for v, ws in index.items() if packed in ws))
-                got = values(model, word)
+                got = values(model, witness)
                 if among is not None:
                     got &= among
-                if tuple(sorted(got)) != result.witness_values:
-                    raise AssertionError(f"witness {word} fails its values re-check")
+                if tuple(sorted(got)) != witness_values:
+                    raise AssertionError(f"witness {witness} fails its values re-check")
                 if not collect_all:
                     found = {packed}
-            result.mean_word_count += len(found)
+            count += len(found)
             sad.update(v for v, ws in index.items() if not ws.isdisjoint(found))
             if not collect_all:
                 break
         if table.exhausted_at(length):
             break
-    result.sad_edges = tuple(sorted(sad))
-    return result
+    return MeanScanResult(max_len, witness, witness_values, tuple(sorted(sad)), count)
 
 
 def mean_scan(model: TruncatedModel, max_len: int, *,
@@ -346,15 +349,17 @@ def mean_scan(model: TruncatedModel, max_len: int, *,
 # -- zigzags and mountains -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Zigzag:
+class Zigzag(Record, frozen=True):
     """An alternating chain w_0 <~ w_1 ~> w_2 <~ ... ~> w_{2n}.
 
     Peaks sit at odd indices; every arrow is a (possibly multi-step)
     contraction, verified by :func:`verify_zigzag`.
     """
 
-    entries: tuple[tuple[str, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, ...], ...]):
+        self.entries = entries
 
     @property
     def peak_count(self) -> int:
@@ -501,8 +506,7 @@ def mountain(model: TruncatedModel, f: str, g: str,
 # -- presentation of the fundamental groupoid ----------------------------------
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record, frozen=True):
     """Generators and relations of the fundamental groupoid.
 
     One generator per involution orbit of nondegenerate edges (the lex-least
@@ -511,8 +515,12 @@ class Presentation:
     Relation letters use the trailing ``^`` convention for inverses.
     """
 
-    generators: tuple[str, ...]
-    relations: tuple[tuple[str, ...], ...]
+    __slots__ = ("generators", "relations")
+
+    def __init__(self, generators: tuple[str, ...],
+                 relations: tuple[tuple[str, ...], ...]):
+        self.generators = generators
+        self.relations = relations
 
     def format(self) -> str:
         gens = " ".join(self.generators)
@@ -552,13 +560,17 @@ def tau_presentation(model: TruncatedModel) -> Presentation:
 # -- bounded reflection ----------------------------------------------------------
 
 
-@dataclass
-class ReflectResult:
-    model: TruncatedModel
-    bound: int
-    identified: tuple[tuple[str, str], ...]
-    rounds: int
-    complete_at_bound: bool = True
+class ReflectResult(Record):
+    __slots__ = ("model", "bound", "identified", "rounds", "complete_at_bound")
+
+    def __init__(self, model: TruncatedModel, bound: int,
+                 identified: tuple[tuple[str, str], ...], rounds: int,
+                 complete_at_bound: bool = True):
+        self.model = model
+        self.bound = bound
+        self.identified = identified
+        self.rounds = rounds
+        self.complete_at_bound = complete_at_bound
 
 
 def reflect_bounded(model: TruncatedModel, max_len: int) -> ReflectResult:
@@ -666,12 +678,16 @@ def _quotient(model, find):
 # -- the single-axiom pregroup probe --------------------------------------------
 
 
-@dataclass
-class PregroupReport:
-    ok: bool
-    counterexample: tuple[str, str, str] | None = None
-    left: str | None = None   # (ab)c when defined
-    right: str | None = None  # a(bc) when defined
+class PregroupReport(Record):
+    __slots__ = ("ok", "counterexample", "left", "right")
+
+    def __init__(self, ok: bool,
+                 counterexample: tuple[str, str, str] | None = None,
+                 left: str | None = None, right: str | None = None):
+        self.ok = ok
+        self.counterexample = counterexample
+        self.left = left    # (ab)c when defined
+        self.right = right  # a(bc) when defined
 
 
 def pregroup_axiom_check(model: TruncatedModel) -> PregroupReport:

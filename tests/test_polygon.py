@@ -679,3 +679,13 @@ def test_import_builds_no_pair_class_table():
                           text=True, env={**os.environ, "PYTHONPATH": str(src)},
                           check=True)
     assert done.stdout.split() == ["0", "0", "0"]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # each of these costs milliseconds of every CLI call's start-up
+    src = pathlib.Path(pg.__file__).resolve().parents[1]
+    code = (f"import sys\nsys.path.insert(0, {str(src)!r})\nimport pgroupoid.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
