@@ -11,13 +11,15 @@ synthesizes their products:
 * ``mult(f, f~) = id_src(f)`` and ``mult(f~, f) = id_tgt(f)`` in
   symmetric mode, where ``f~`` is the involution partner of ``f``.
 
-The model invariant ("spininess") is that the partial map
-``(f, g) -> h`` over stored triangles plus the implicit degenerates is
-single valued.  In symmetric mode the triangle table must also be closed
-under the six vertex permutations of a triangle.  Both are checked by
-:meth:`TruncatedModel.validate`, which reports violations instead of
-raising, so a deliberately broken model (e.g. the glued model of an
-incompatible triangulation pair) can be inspected.
+The constructor closes a symmetric triangle table under the six vertex
+permutations of a triangle (when the involution is valid) and, in both
+modes, drops each triple whose degenerate spine gives its product.  The
+model invariant ("spininess") is that the partial map ``(f, g) -> h``
+over stored triangles plus the implicit degenerates is single valued.
+It and the involution are checked by :meth:`TruncatedModel.validate`,
+which reports violations instead of raising, so a deliberately broken
+model (e.g. the glued model of an incompatible triangulation pair) can
+be inspected.
 
 All iteration over objects, edges, and triangles is in sorted order, so
 every operation in this package is deterministic.
@@ -128,8 +130,12 @@ class TruncatedModel:
         self.edges = {e.name: e for e in edges}
         if len(self.edges) != len(edges):
             raise ModelError("duplicate edge names")
-        self.triangles = frozenset(tuple(t) for t in triangles)
-        self._involution_faults = self._check_structure()
+        written = sorted({tuple(t) for t in triangles})
+        self._involution_faults = self._check_structure(written)
+        if mode == SYMMETRIC and not self._involution_faults:
+            written = [img for t in written for img in orbit_images(t, self.inv)]
+        self.triangles = frozenset(
+            t for t in written if self._degenerate_value(t[0], t[1]) != t[2])
         self._spine = {}
         for f, g, h in sorted(self.triangles):
             self._spine.setdefault((f, g), h)  # collisions surface in validate()
@@ -146,8 +152,8 @@ class TruncatedModel:
         ``edge_pairs`` holds ``(name, src, tgt)`` triples; each edge gets a
         fresh partner named ``name + '^'`` unless listed in ``self_inverse``
         (such edges must be loops).  Identity edges are created per object.
-        The triangle table is closed under the vertex permutations, with
-        degenerate-consistent triples dropped.
+        The constructor closes the triangle table under the vertex
+        permutations and drops the degenerate-consistent triples.
         """
         self_inverse = set(self_inverse)
         edges = [
@@ -162,49 +168,29 @@ class TruncatedModel:
             else:
                 edges.append(Edge(name, src, tgt, inv=name + "^"))
                 edges.append(Edge(name + "^", tgt, src, inv=name))
-        return cls.closed(objects, edges, triangles)
+        return cls(SYMMETRIC, objects, edges, triangles)
 
     @classmethod
     def simplicial(cls, objects, edge_triples, triangles=()):
-        """Build a simplicial model; edges carry no involution."""
+        """Build a simplicial model; edges carry no involution.  The
+        constructor drops the degenerate-consistent triples."""
         edges = [
             Edge(identity_name(o), o, o, is_identity=True) for o in objects
         ]
         edges.extend(Edge(name, src, tgt) for name, src, tgt in edge_triples)
-        model = cls(SIMPLICIAL, objects, edges, ())
-        kept = [t for t in triangles if model._degenerate_value(t[0], t[1]) != t[2]]
-        return cls(SIMPLICIAL, objects, edges, kept)
-
-    @classmethod
-    def closed(cls, objects, edges, triangles):
-        """A symmetric model whose triangle table is the orbit closure of
-        ``triangles`` (see :meth:`_close_triangles`)."""
-        shell = cls(SYMMETRIC, objects, edges, ())
-        return cls(SYMMETRIC, objects, edges, shell._close_triangles(triangles))
-
-    def _close_triangles(self, triangles):
-        """Orbit closure with degenerate-consistent triples normalized away.
-
-        Degenerate-inconsistent triples are kept so that validate() reports
-        the spine collision instead of silently losing the fault.
-        """
-        out = set()
-        for t in triangles:
-            for img in orbit_images(tuple(t), self.inv):
-                if self._degenerate_value(img[0], img[1]) == img[2]:
-                    continue
-                out.add(img)
-        return out
+        return cls(SIMPLICIAL, objects, edges, triangles)
 
     # -- structural checks (raise) --------------------------------------------
 
-    def _check_structure(self):
+    def _check_structure(self, triangles):
         """Raise on malformed references; return involution faults.
 
         Duplicate names, dangling references, and missing identities are
-        hard errors.  A broken involution leaves the model constructible
-        so that validate() can report the fault as a violation, but most
-        symmetric operations refuse to run on such a model.
+        hard errors; ``triangles`` are checked in the order given.  A broken
+        involution leaves the model constructible (with its triangle table
+        not closed) so that validate() can report the fault as a
+        violation, but most symmetric operations refuse to run on such a
+        model.
         """
         objset = set(self.objects)
         ids_seen = {}
@@ -248,7 +234,7 @@ class TruncatedModel:
         missing = objset - set(ids_seen)
         if missing:
             raise ModelError(f"objects without identity edge: {sorted(missing)}")
-        for f, g, h in self.triangles:
+        for f, g, h in triangles:
             for name in (f, g, h):
                 if name not in self.edges:
                     raise ModelError(f"triangle references unknown edge {name}")
@@ -270,12 +256,6 @@ class TruncatedModel:
         if e.inv is None:
             raise ModelError(f"edge {name} has no inverse (simplicial mode)")
         return e.inv
-
-    def identity(self, obj: str) -> str:
-        name = identity_name(obj)
-        if name not in self.edges:
-            raise ModelError(f"unknown object {obj!r}")
-        return name
 
     def is_identity(self, name: str) -> bool:
         return self.edge(name).is_identity
@@ -361,7 +341,12 @@ class TruncatedModel:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check spininess, orbit closure, involution, and cancellation laws."""
+        """Check the involution and spininess.
+
+        On a closed table spininess implies two-sided cancellation: a fault
+        ``mult(f, g) = mult(f, g') = h`` puts the two products g and g' on
+        the spine ``(f~, h)`` of the orbit images.
+        """
         violations = list(self._involution_faults)
         for t, product in self._spine_faults():
             f, g, h = t
@@ -371,12 +356,6 @@ class TruncatedModel:
                     f"spine ({f},{g}) has two long edges {product} and {h}",
                     witness=((f, g, product), t),
                 ))
-            elif product == h:
-                violations.append(Violation(
-                    "degenerate-stored",
-                    f"degenerate triangle ({f},{g},{h}) must not be stored",
-                    witness=(t,),
-                ))
             else:
                 violations.append(Violation(
                     "spine-collision",
@@ -384,9 +363,6 @@ class TruncatedModel:
                     f"spine ({f},{g}) -> {product}",
                     witness=(t,),
                 ))
-        if self.mode == SYMMETRIC and not self._involution_faults:
-            violations.extend(self._validate_orbits())
-            violations.extend(self._validate_cancellation())
         return ValidationReport(not violations, violations)
 
     def _spine_faults(self):
@@ -403,45 +379,6 @@ class TruncatedModel:
                 product = self._spine[(f, g)]
             if product is not None:
                 yield t, product
-
-    def _validate_orbits(self):
-        out = []
-        for t in sorted(self.triangles):
-            for img in orbit_images(t, self.inv):
-                if img in self.triangles:
-                    continue
-                if self._degenerate_value(img[0], img[1]) == img[2]:
-                    continue
-                out.append(Violation(
-                    "orbit-gap",
-                    f"image {img} of stored triangle {t} is missing",
-                    witness=(t, img),
-                ))
-        return out
-
-    def _validate_cancellation(self):
-        """Two-sided cancellation over stored plus degenerate products."""
-        out = []
-        left, right = {}, {}
-        for f in sorted(self.edges):
-            for g, h in sorted(self.products_from(f).items()):
-                key = (f, h)
-                if key in left and left[key] != g:
-                    out.append(Violation(
-                        "cancellation-fault",
-                        f"mult({f},{left[key]}) = mult({f},{g}) = {h}",
-                        witness=(f, left[key], g, h),
-                    ))
-                left.setdefault(key, g)
-                key = (g, h)
-                if key in right and right[key] != f:
-                    out.append(Violation(
-                        "cancellation-fault",
-                        f"mult({right[key]},{g}) = mult({f},{g}) = {h}",
-                        witness=(right[key], f, g, h),
-                    ))
-                right.setdefault(key, f)
-        return out
 
     # -- equality / rendering ---------------------------------------------------
 
@@ -498,8 +435,7 @@ def symmetrize(model: TruncatedModel) -> TruncatedModel:
         raise ModelError("symmetrize expects a simplicial model")
     pairs = [(n, model.edge(n).src, model.edge(n).tgt)
              for n in model.nonidentity_edges()]
-    result = TruncatedModel.symmetric(model.objects, pairs,
-                                      triangles=sorted(model.triangles))
+    result = TruncatedModel.symmetric(model.objects, pairs, model.triangles)
     report = result.validate()
     if not report.ok:
         raise SpininessError(report)
@@ -536,7 +472,7 @@ def nerve_truncation(cat, mode: str = SYMMETRIC) -> TruncatedModel:
     for m in cat.nonidentity_morphisms():
         mor = cat.morphism(m)
         edges.append(Edge(m, mor.src, mor.tgt, inv=cat.inverse(m)))
-    model = TruncatedModel.closed(objects, edges, triangles)
+    model = TruncatedModel(SYMMETRIC, objects, edges, triangles)
     report = model.validate()
     if not report.ok:
         raise ModelError(f"nerve did not validate: {report.summary()}")

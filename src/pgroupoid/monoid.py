@@ -27,8 +27,9 @@ class RewriteError(ValueError):
 def reduce_model(model: TruncatedModel) -> TruncatedModel:
     """Identify all objects; identities merge, everything else survives.
 
-    Spininess is preserved because no nonidentity edges are merged, and
-    the stored triangles are carried over verbatim.
+    Spininess is preserved because no nonidentity edges are merged.  The
+    constructor closes the stored triangles again, which leaves them
+    unchanged: edge names, inverses and identities all survive.
     """
     if not model.objects:
         raise ModelError("reduction needs a model with at least one object")

@@ -625,8 +625,7 @@ def _merge_parallel_edges(model, names):
     # merge too; repeat until the quotient has no such spine.
     while True:
         merged, rename = _quotient(model, find)
-        faults = [(t[2], product) for t, product in merged._spine_faults()
-                  if product != t[2]]
+        faults = [(t[2], product) for t, product in merged._spine_faults()]
         if not faults:
             break
         for h, product in faults:
@@ -672,7 +671,7 @@ def _quotient(model, find):
                           is_identity=any(model.edge(m).is_identity
                                           for m in members)))
     triangles = {(rename[f], rename[g], rename[h]) for f, g, h in model.triangles}
-    return TruncatedModel.closed(model.objects, edges, triangles), rename
+    return TruncatedModel(SYMMETRIC, model.objects, edges, triangles), rename
 
 
 # -- the single-axiom pregroup probe --------------------------------------------

@@ -139,6 +139,58 @@ class FullScan:
         return None
 
 
+# -- symmetric model laws oracle ---------------------------------------------------
+
+
+def brute_symmetric_laws(model):
+    """Whether a symmetric model is a partial groupoid, checked by brute force.
+
+    The laws are: a valid involution, single-valued products over stored and
+    degenerate triangles, a triangle table closed under the six vertex
+    permutations, and two-sided cancellation over ``products_from``.
+    ``validate`` checks only the first two; the constructor makes the third
+    hold and the first three imply the fourth.
+    """
+    edges = model.edges
+    for name, e in edges.items():
+        partner = edges[e.inv]
+        if partner.inv != name or (partner.src, partner.tgt) != (e.tgt, e.src):
+            return False
+        if e.is_identity and e.inv != name:
+            return False
+
+    def degenerate(f, g):
+        ef, eg = edges[f], edges[g]
+        if ef.is_identity:
+            return g
+        if eg.is_identity:
+            return f
+        if g == ef.inv:
+            return IDENTITY_PREFIX + ef.src
+        return None
+
+    products = {}
+    for f, g, h in model.triangles:
+        products.setdefault((f, g), set()).add(h)
+    for f in edges:
+        for g in edges:
+            h = degenerate(f, g) if edges[f].tgt == edges[g].src else None
+            if h is not None:
+                products.setdefault((f, g), set()).add(h)
+    if any(len(hs) > 1 for hs in products.values()):
+        return False
+    for t in model.triangles:
+        for f, g, h in orbit_images(t, lambda e: edges[e].inv):
+            if (f, g, h) not in model.triangles and degenerate(f, g) != h:
+                return False
+    left, right = {}, {}
+    for f in edges:
+        for g, h in model.products_from(f).items():
+            if left.setdefault((f, h), g) != g or right.setdefault((g, h), f) != f:
+                return False
+    return True
+
+
 # -- starry-membership oracle -------------------------------------------------------
 
 

@@ -158,6 +158,46 @@ def test_cli_validate_failure(tmp_path, capsys):
     code, out = run_cli(capsys, "validate", str(bad))
     assert code == 3
     assert "spine-collision" in out
+    # symmetric: (f, 1@1, e) with e parallel to f collides with f's
+    # degenerate spine; the closed table gives four such collisions
+    bad.write_text("pgd 1\nmode symmetric\nobject 0\nobject 1\n"
+                   "edge e 0 1\nedge f 0 1\ntri f 1@1 e\n")
+    code, out = run_cli(capsys, "validate", str(bad))
+    assert code == 3
+    assert out == json.dumps({
+        "command": "validate", "verdict": "fail",
+        "witness": [
+            "spine-collision: triangle (1@1,e^,f^) collides with the "
+            "degenerate spine (1@1,e^) -> e^",
+            "spine-collision: triangle (1@1,f^,e^) collides with the "
+            "degenerate spine (1@1,f^) -> f^",
+            "spine-collision: triangle (e,1@1,f) collides with the "
+            "degenerate spine (e,1@1) -> e",
+            "spine-collision: triangle (f,1@1,e) collides with the "
+            "degenerate spine (f,1@1) -> f",
+        ],
+        "counts": {"objects": 2, "edges": 4, "triangles": 6},
+    }) + "\n"
+
+
+def test_cli_structure_error_names_the_first_written_triangle(tmp_path):
+    # the symmetric loader closes the table only after checking what was
+    # written, in sorted order, so the detail is the same for every hash seed
+    bad = tmp_path / "bad.pgd"
+    bad.write_text("pgd 1\nmode symmetric\nobject 0\nobject 1\nobject 2\n"
+                   "edge f 0 1\nedge g 1 2\nedge h 0 2\ntri f g h\ntri g f h\n")
+    src = pathlib.Path(pg.__file__).resolve().parents[1]
+    lines = set()
+    for seed in range(6):
+        done = subprocess.run(
+            [sys.executable, "-m", "pgroupoid.cli", "embeddable", str(bad),
+             "--max-len", "3"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)})
+        assert done.returncode == 2
+        lines.add(done.stdout)
+    assert lines == {json.dumps({
+        "command": "embeddable", "verdict": "input-error",
+        "detail": "triangle (g,f,h) has mismatched endpoints"}) + "\n"}
 
 
 def test_cli_validate_malformed_input(capsys):

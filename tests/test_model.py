@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pgroupoid as pg
 from pgroupoid.model import orbit_images
 
-from helpers import example1_symmetric, horn_symmetric, load
+from helpers import (SUB_NERVE_GROUPOIDS, brute_symmetric_laws, example1_symmetric,
+                     horn_symmetric, load)
 
 
 def test_example1_fixture_validates():
@@ -25,9 +27,10 @@ def test_spine_collision_reported():
 
 
 def test_validate_spine_report_is_pinned():
-    # raw symmetric model: degenerate triples stored, degenerate spines with
+    # raw symmetric table: degenerate triples, degenerate spines with
     # another long edge (left identity, right identity, inverse pair) and a
-    # spine with two long edges
+    # spine with two long edges; the constructor closes it and drops the
+    # degenerate triples, so the report lists the closed table's faults
     edges = [pg.Edge(f"1@{o}", o, o, inv=f"1@{o}", is_identity=True) for o in "012"]
     for name, src, tgt in (("e", "0", "0"), ("f", "0", "1"), ("g", "1", "2"),
                            ("h", "0", "2"), ("k", "0", "2")):
@@ -36,28 +39,38 @@ def test_validate_spine_report_is_pinned():
     triangles = [("1@0", "h", "h"), ("1@0", "h", "k"), ("k", "1@2", "h"),
                  ("k", "1@2", "k"), ("f", "f^", "e"), ("f", "g", "h"),
                  ("f", "g", "k"), ("e", "h", "k")]
-    report = pg.TruncatedModel("symmetric", list("012"), edges, triangles).validate()
-    spine_kinds = {"spine-collision", "degenerate-stored"}
-    got = [(v.kind, v.detail, v.witness) for v in report.violations]
-    expected = [
-        ("degenerate-stored", "degenerate triangle (1@0,h,h) must not be stored",
-         (("1@0", "h", "h"),)),
-        ("spine-collision", "triangle (1@0,h,k) collides with the degenerate "
-         "spine (1@0,h) -> h", (("1@0", "h", "k"),)),
-        ("spine-collision", "triangle (f,f^,e) collides with the degenerate "
-         "spine (f,f^) -> 1@0", (("f", "f^", "e"),)),
-        ("spine-collision", "spine (f,g) has two long edges h and k",
-         (("f", "g", "h"), ("f", "g", "k"))),
-        ("spine-collision", "triangle (k,1@2,h) collides with the degenerate "
-         "spine (k,1@2) -> k", (("k", "1@2", "h"),)),
-        ("degenerate-stored", "degenerate triangle (k,1@2,k) must not be stored",
-         (("k", "1@2", "k"),)),
+    m = pg.TruncatedModel("symmetric", list("012"), edges, triangles)
+    assert ("1@0", "h", "h") not in m.triangles
+    assert ("k", "1@2", "k") not in m.triangles
+
+    def degenerate(f, g, h, product):
+        return ("spine-collision", f"triangle ({f},{g},{h}) collides with the "
+                f"degenerate spine ({f},{g}) -> {product}", ((f, g, h),))
+
+    def two_long(f, g, h, k):
+        return ("spine-collision", f"spine ({f},{g}) has two long edges {h} and {k}",
+                ((f, g, h), (f, g, k)))
+
+    got = [(v.kind, v.detail, v.witness) for v in m.validate().violations]
+    assert got == [
+        degenerate("1@0", "h", "k", "h"),
+        degenerate("1@0", "k", "h", "k"),
+        degenerate("1@2", "h^", "k^", "h^"),
+        degenerate("1@2", "k^", "h^", "k^"),
+        degenerate("f", "f^", "e", "1@0"),
+        degenerate("f", "f^", "e^", "1@0"),
+        two_long("f", "g", "h", "k"),
+        two_long("g^", "f^", "h^", "k^"),
+        degenerate("h", "1@2", "k", "h"),
+        two_long("h", "k^", "1@0", "e^"),
+        degenerate("h^", "1@0", "k^", "h^"),
+        degenerate("k", "1@2", "h", "k"),
+        two_long("k", "h^", "1@0", "e"),
+        degenerate("k^", "1@0", "h^", "k^"),
     ]
-    assert got[:len(expected)] == expected
-    assert not any(kind in spine_kinds for kind, _, _ in got[len(expected):])
 
 
-def test_orbit_gap_reported():
+def test_constructor_closes_a_raw_table():
     edges = [
         pg.Edge("1@0", "0", "0", inv="1@0", is_identity=True),
         pg.Edge("1@1", "1", "1", inv="1@1", is_identity=True),
@@ -68,12 +81,11 @@ def test_orbit_gap_reported():
     ]
     m = pg.TruncatedModel("symmetric", ["0", "1", "2"], edges,
                           [("f", "g", "h")])
-    report = m.validate()
-    assert not report.ok
-    gaps = [v for v in report.violations if v.kind == "orbit-gap"]
-    assert gaps
-    missing = {v.witness[1] for v in gaps}
-    assert ("f^", "h", "g") in missing
+    assert ("f^", "h", "g") in m.triangles
+    assert m.validate().ok
+    assert m == pg.TruncatedModel.symmetric(
+        ["0", "1", "2"], [("f", "0", "1"), ("g", "1", "2"), ("h", "0", "2")],
+        [("f", "g", "h")])
 
 
 def test_involution_fault_reported():
@@ -135,8 +147,10 @@ def test_orbit_closure_size_divides_six_and_idempotent():
             orbit = set(orbit_images(t, model.inv))
             assert len(orbit) in (1, 2, 3, 6)
             assert orbit <= tris
-        again = model._close_triangles(sorted(tris))
-        assert frozenset(again) == tris
+        edges = list(model.edges.values())
+        for raw in (model.triangle_orbits(), sorted(tris)):
+            again = pg.TruncatedModel(model.mode, model.objects, edges, raw)
+            assert again.triangles == tris
 
 
 def test_validation_idempotent_after_normalization():
@@ -160,8 +174,9 @@ def test_cancellation_holds_on_symmetric_fixtures():
 
 
 def test_cancellation_fault_detected():
-    # mult(f, g) = mult(f, g') = h with g != g'; the table is deliberately
-    # not orbit closed, so the fault shows up as cancellation, not collision
+    # mult(f, g) = mult(f, g') = h with g != g': the closed table holds the
+    # images (f^, h, g) and (f^, h, g'), so the fault shows as a spine
+    # collision on (f^, h) with long edges g and g'
     edges = [
         pg.Edge("1@0", "0", "0", inv="1@0", is_identity=True),
         pg.Edge("1@1", "1", "1", inv="1@1", is_identity=True),
@@ -174,7 +189,63 @@ def test_cancellation_fault_detected():
                           [("f", "g", "h"), ("f", "g'", "h")])
     report = m.validate()
     assert not report.ok
-    assert any(v.kind == "cancellation-fault" for v in report.violations)
+    assert {v.kind for v in report.violations} == {"spine-collision"}
+    assert ((("f^", "h", "g"), ("f^", "h", "g'"))
+            in [v.witness for v in report.violations])
+
+
+def _triples(edges):
+    """Every composable triple of ``edges`` with a parallel long edge."""
+    ends = {e.name: (e.src, e.tgt) for e in edges}
+    return [(f, g, h) for f in ends for g in ends for h in ends
+            if ends[f][1] == ends[g][0] and ends[h] == (ends[f][0], ends[g][1])]
+
+
+@st.composite
+def _raw_edge_pairs_model(draw):
+    """1-3 objects, 1-4 edge pairs (self-inverse loops among them) and 1-6
+    raw triangles, degenerate, colliding and identity-containing ones
+    included."""
+    objects = [str(i) for i in range(draw(st.integers(1, 3)))]
+    pairs, self_inverse = [], []
+    for i in range(draw(st.integers(1, 4))):
+        src, tgt = draw(st.sampled_from(objects)), draw(st.sampled_from(objects))
+        pairs.append((f"e{i}", src, tgt))
+        if src == tgt and draw(st.booleans()):
+            self_inverse.append(f"e{i}")
+    shell = pg.TruncatedModel.symmetric(objects, pairs, (), self_inverse)
+    triples = _triples(shell.edges.values())
+    triangles = draw(st.lists(st.sampled_from(triples), min_size=1, max_size=6))
+    return pg.TruncatedModel.symmetric(objects, pairs, triangles, self_inverse)
+
+
+_NERVES = tuple(pg.nerve_truncation(g) for g in SUB_NERVE_GROUPOIDS)
+
+
+@st.composite
+def _sub_nerve_model(draw):
+    """Some edge pairs of a small groupoid's nerve with up to 6 of its
+    triangles, unclosed, which never collide, and up to 2 raw ones."""
+    nerve = draw(st.sampled_from(_NERVES))
+    kept = {}
+    for name in sorted(nerve.edges):
+        if name not in kept:
+            e = nerve.edge(name)
+            kept[name] = kept[e.inv] = e.is_identity or draw(st.booleans())
+    edges = [nerve.edge(name) for name in sorted(kept) if kept[name]]
+    triangles = draw(st.lists(st.sampled_from(_triples(edges)), max_size=2))
+    lawful = [t for t in sorted(nerve.triangles) if all(kept[e] for e in t)]
+    if lawful:
+        triangles += draw(st.lists(st.sampled_from(lawful), max_size=6))
+    return pg.TruncatedModel("symmetric", nerve.objects, edges, triangles)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_raw_edge_pairs_model(), _sub_nerve_model()))
+def test_validate_agrees_with_brute_force_laws(model):
+    # validate checks the involution and spininess only; orbit closure and
+    # two-sided cancellation must follow from the constructor's closure
+    assert model.validate().ok == brute_symmetric_laws(model)
 
 
 # -- nerves ----------------------------------------------------------------------
