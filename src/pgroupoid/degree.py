@@ -9,6 +9,8 @@ the cone criterion on the triangulation pair.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 from .model import SYMMETRIC, TruncatedModel, identity_name
 from .polygon import INCOMPATIBLE, Triangulation, pair_classify
 from .records import Record
@@ -42,14 +44,15 @@ def _check_star(model, source, legs):
 def _member_pairs(model):
     """The starry words of length 2 bounding a 2-simplex, as a set.
 
-    A stored triangle with spine (f, g) and long edge h contributes
-    (f, h); degenerate triangles contribute (id, e), (e, e), (e, id).
+    These are the edges out of vertex 0 of each 2-simplex: the pairs
+    (f, h) with h a product of f.  The degenerate products give (id, e),
+    (e, e) and (e, id), from mult(id, e), mult(e, id) and mult(e, e~).
     """
-    pairs = {(f, h) for f, g, h in model.triangles}
-    for name, e in model.edges.items():
-        ident = identity_name(e.src)
-        pairs.update(((ident, name), (name, name), (name, ident)))
-    return pairs
+    return {(f, h) for f in model.edges for h in model.products_from(f).values()}
+
+
+def _nonidentity_legs(model, source):
+    return [e for e in model.out_edges(source) if not model.is_identity(e)]
 
 
 def starry_member(model: TruncatedModel, star: StarryWord) -> bool:
@@ -60,19 +63,16 @@ def starry_member(model: TruncatedModel, star: StarryWord) -> bool:
     of y at the source, and a function phi from the leg positions to the
     vertices of y.  As phi is any map, this holds exactly when every leg is
     an edge of y out of p, the identity included.  One nonidentity leg is
-    always an edge out of the source; more need a triangle.
+    always an edge out of the source; two are a member when they bound a
+    2-simplex; three or more never are, as a 2-simplex has only two
+    nonidentity edges out of any vertex.
     """
     _require_symmetric(model)
     _check_star(model, star.source, star.legs)
-    legs = set(star.legs) - {identity_name(star.source)}
-    if len(legs) <= 1:
-        return True
-    inv = model.inv
-    for f, g, h in model.triangles:
-        for out in ((f, h), (inv(f), g), (inv(g), inv(h))):
-            if model.edge(out[0]).src == star.source and legs <= set(out):
-                return True
-    return False
+    legs = sorted(set(star.legs) - {identity_name(star.source)})
+    if len(legs) == 2:
+        return legs[1] in model.products_from(legs[0]).values()
+    return len(legs) < 2
 
 
 def degree3_witness(model: TruncatedModel) -> StarryWord | None:
@@ -80,26 +80,16 @@ def degree3_witness(model: TruncatedModel) -> StarryWord | None:
 
     The search runs over pairwise-distinct nonidentity legs; words with a
     repeated or identity leg reduce to shorter ones, so they can never be
-    minimal witnesses.  Returns the first witness in lexicographic order,
-    or None.
+    minimal witnesses.  No such word is a member (see
+    :func:`starry_member`), so the witness is the first triple in
+    lexicographic order whose three pairs bound, or None.
     """
     _require_symmetric(model)
     pairs = _member_pairs(model)
     for source in model.objects:
-        legs = [e for e in model.out_edges(source)
-                if not model.is_identity(e)]
-        for f1 in legs:
-            for f2 in legs:
-                if f2 == f1 or (f1, f2) not in pairs:
-                    continue
-                for f3 in legs:
-                    if f3 in (f1, f2):
-                        continue
-                    if (f1, f3) not in pairs or (f2, f3) not in pairs:
-                        continue
-                    star = StarryWord(source, (f1, f2, f3))
-                    if not starry_member(model, star):
-                        return star
+        for triple in combinations(_nonidentity_legs(model, source), 3):
+            if all(pair in pairs for pair in combinations(triple, 2)):
+                return StarryWord(source, triple)
     return None
 
 
@@ -145,10 +135,7 @@ def degree_model(model: TruncatedModel) -> tuple[int, StarryWord | None]:
         return 3, witness
     pairs = _member_pairs(model)
     for source in model.objects:
-        legs = [e for e in model.out_edges(source)
-                if not model.is_identity(e)]
-        for f1 in legs:
-            for f2 in legs:
-                if (f1, f2) not in pairs:
-                    return 2, StarryWord(source, (f1, f2))
+        for pair in combinations(_nonidentity_legs(model, source), 2):
+            if pair not in pairs:
+                return 2, StarryWord(source, pair)
     return 1, None

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .category import FiniteCategory
-from .model import SIMPLICIAL, SYMMETRIC, TruncatedModel
+from .model import SIMPLICIAL, SYMMETRIC, Edge, TruncatedModel
 
 TOKEN = re.compile(r"[A-Za-z0-9_']+\^?$|1@[A-Za-z0-9_']+$")
 NAME = re.compile(r"[A-Za-z0-9_']+$")
@@ -129,31 +129,45 @@ def parse_pgd(text: str, check: bool = True) -> TruncatedModel:
 def emit_pgd(model: TruncatedModel) -> str:
     """Canonical text: sorted declarations, one triangle per orbit.
 
-    Symmetric models must use the canonical pair naming (partner of f is
-    f^ or f itself); the nerve constructors and gluings all comply.
+    A symmetric pair is declared by its least edge f, whose partner is f
+    itself or is written f^; a partner with another name (``x2`` beside
+    ``x`` in the nerve of Z3) is renamed f^ before the triangle orbits
+    are taken.  Raises :class:`FormatError` when another edge holds f^.
     """
+    if model.mode == SYMMETRIC:
+        model = _partners_renamed(model)
+        names = [pair[0] for pair in model.edge_pairs()]
+    else:
+        names = model.nonidentity_edges()
     out = ["pgd 1", f"mode {model.mode}"]
     for o in model.objects:
         out.append(f"object {o}")
-    if model.mode == SYMMETRIC:
-        for pair in model.edge_pairs():
-            name = pair[0]
-            e = model.edge(name)
-            if len(pair) == 1:
-                out.append(f"edge {name} {e.src} {e.tgt} self")
-            else:
-                if pair[1] != name + "^":
-                    raise FormatError(
-                        f"edge pair {pair} is not canonically named; "
-                        f"rename the partner to {name}^ before emitting")
-                out.append(f"edge {name} {e.src} {e.tgt}")
-    else:
-        for name in model.nonidentity_edges():
-            e = model.edge(name)
-            out.append(f"edge {name} {e.src} {e.tgt}")
+    for name in names:
+        e = model.edge(name)
+        tag = " self" if e.inv == name else ""
+        out.append(f"edge {name} {e.src} {e.tgt}{tag}")
     for tri in model.triangle_orbits():
         out.append("tri " + " ".join(tri))
     return "\n".join(out) + "\n"
+
+
+def _partners_renamed(model):
+    """The symmetric model with the partner of each pair (f, g) named f^,
+    or the model itself when every partner already is."""
+    rename = {}
+    for pair in model.edge_pairs():
+        if len(pair) == 2 and pair[1] != pair[0] + "^":
+            if pair[0] + "^" in model.edges:
+                raise FormatError(f"edge pair {pair} cannot be written: "
+                                  f"{pair[0]}^ names another edge")
+            rename[pair[1]] = pair[0] + "^"
+    if not rename:
+        return model
+    edges = [Edge(rename.get(e.name, e.name), e.src, e.tgt,
+                  inv=rename.get(e.inv, e.inv), is_identity=e.is_identity)
+             for e in model.edges.values()]
+    triangles = [tuple(rename.get(x, x) for x in t) for t in model.triangles]
+    return TruncatedModel(SYMMETRIC, model.objects, edges, triangles)
 
 
 def load_pgd(path, check: bool = True) -> TruncatedModel:

@@ -4,8 +4,9 @@ A :class:`TruncatedModel` stores objects, edges, and the nondegenerate
 triangles of a partial groupoid (symmetric mode) or of an edgy simplicial
 set (simplicial mode).  A triangle ``(f, g, h)`` records a 2-simplex with
 spine ``(f, g)`` and long edge ``h``, i.e. the multiplication fact
-``h = g after f``.  Degenerate triangles are never stored; :meth:`mult`
-synthesizes their products:
+``h = g after f``.  Degenerate triangles are never stored, but the one
+product table, built by the constructor and read by :meth:`mult` and
+:meth:`products_from`, holds their products beside the stored ones:
 
 * ``mult(id, f) = f`` and ``mult(f, id) = f`` in both modes,
 * ``mult(f, f~) = id_src(f)`` and ``mult(f~, f) = id_tgt(f)`` in
@@ -136,12 +137,12 @@ class TruncatedModel:
             written = [img for t in written for img in orbit_images(t, self.inv)]
         self.triangles = frozenset(
             t for t in written if self._degenerate_value(t[0], t[1]) != t[2])
-        self._spine = {}
-        for f, g, h in sorted(self.triangles):
-            self._spine.setdefault((f, g), h)  # collisions surface in validate()
-        self._products_from = None
+        out = {o: [] for o in self.objects}
+        for name in sorted(self.edges):
+            out[self.edges[name].src].append(name)
+        self._out_edges = {o: tuple(v) for o, v in out.items()}
+        self._build_product_tables()
         self._products_to = None
-        self._out_edges = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -275,11 +276,6 @@ class TruncatedModel:
         return tuple(pairs)
 
     def out_edges(self, obj: str) -> tuple[str, ...]:
-        if self._out_edges is None:
-            table = {o: [] for o in self.objects}
-            for name in sorted(self.edges):
-                table[self.edges[name].src].append(name)
-            self._out_edges = {o: tuple(v) for o, v in table.items()}
         return self._out_edges[obj]
 
     def composable(self, f: str, g: str) -> bool:
@@ -302,41 +298,42 @@ class TruncatedModel:
         """The edge of the 2-simplex with spine (f, g), if there is one."""
         if not self.composable(f, g):
             raise ModelError(f"edges {f} and {g} are not composable")
-        h = self._spine.get((f, g))
-        if h is not None:
-            return h
-        return self._degenerate_value(f, g)
+        return self._rows[f].get(g)
 
     def products_from(self, e: str) -> dict[str, str]:
         """All defined products with left factor ``e``, degenerates included."""
-        if self._products_from is None:
-            self._build_product_tables()
-        return self._products_from.get(e, {})
+        return self._rows.get(e, {})
 
     def products_to(self, h: str) -> tuple[tuple[str, str], ...]:
         """Stored spines whose product is ``h`` (degenerate spines excluded)."""
         if self._products_to is None:
-            self._products_to = {}
-            for (f, g), val in sorted(self._spine.items()):
-                self._products_to.setdefault(val, []).append((f, g))
-            self._products_to = {k: tuple(v) for k, v in self._products_to.items()}
+            table = {}
+            for f, g, val in sorted(self.triangles):
+                if self._rows[f][g] == val:
+                    table.setdefault(val, []).append((f, g))
+            self._products_to = {k: tuple(v) for k, v in table.items()}
         return self._products_to.get(h, ())
 
     def _build_product_tables(self):
-        table = {}
-        for (f, g), h in self._spine.items():
-            table.setdefault(f, {})[g] = h
-        for name in self.edges:
-            e = self.edges[name]
-            row = table.setdefault(name, {})
+        """The product table: one row ``{g: h}`` per left factor ``f``.
+
+        Stored spines go in first, in sorted order, so a spine with two
+        long edges keeps the least one (collisions surface in validate());
+        the degenerate products follow and never displace a stored one.
+        """
+        rows = {name: {} for name in self.edges}
+        for f, g, h in sorted(self.triangles):
+            rows[f].setdefault(g, h)
+        for name, e in self.edges.items():
+            row = rows[name]
             if e.is_identity:
-                for g in self.out_edges(e.src):
+                for g in self._out_edges[e.src]:
                     row.setdefault(g, g)
             else:
                 row.setdefault(identity_name(e.tgt), name)
-                if self.mode == SYMMETRIC:
+                if self.mode == SYMMETRIC and self.edges[e.inv].src == e.tgt:
                     row.setdefault(e.inv, identity_name(e.src))
-        self._products_from = table
+        self._rows = rows
 
     # -- validation ------------------------------------------------------------
 
@@ -375,8 +372,8 @@ class TruncatedModel:
         for t in sorted(self.triangles):
             f, g, h = t
             product = self._degenerate_value(f, g)
-            if product is None and self._spine[(f, g)] != h:
-                product = self._spine[(f, g)]
+            if product is None and self._rows[f][g] != h:
+                product = self._rows[f][g]
             if product is not None:
                 yield t, product
 

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: word values and
 contractibility are recomputed by enumerating one-step contraction
-sequences, bounded scans are read off layers all built in full,
-triangulations by filtering non-crossing diagonal subsets,
+sequences, products are re-derived from the stored triangles, bounded
+scans are read off layers all built in full, triangulations by filtering
+non-crossing diagonal subsets,
 starry membership by enumerating pullbacks of simplices, normal forms by
 rewriting in random order, reflection merges by re-deriving degenerate
 products on class names, peeled maps by renaming edges, and categories
@@ -189,6 +190,38 @@ def brute_symmetric_laws(model):
             if left.setdefault((f, h), g) != g or right.setdefault((g, h), f) != f:
                 return False
     return True
+
+
+# -- product-table oracle -----------------------------------------------------------
+
+
+def brute_products(model):
+    """Every product ``(f, g) -> h``, re-derived from ``model.triangles``.
+
+    A composable spine with stored triangles takes its least long edge,
+    also where a degenerate rule or a second long edge disagrees (those
+    are faults for ``validate``); any other composable spine takes its
+    degenerate value, id g = g, f id = f or, in symmetric mode,
+    f f~ = id_src(f).  Spines without a product are left out.
+    """
+    edges = model.edges
+    stored = {}
+    for f, g, h in model.triangles:
+        stored.setdefault((f, g), []).append(h)
+    products = {}
+    for f, ef in edges.items():
+        for g, eg in edges.items():
+            if ef.tgt != eg.src:
+                continue
+            if (f, g) in stored:
+                products[(f, g)] = min(stored[(f, g)])
+            elif ef.is_identity:
+                products[(f, g)] = g
+            elif eg.is_identity:
+                products[(f, g)] = f
+            elif model.mode == "symmetric" and g == ef.inv:
+                products[(f, g)] = IDENTITY_PREFIX + ef.src
+    return products
 
 
 # -- starry-membership oracle -------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,10 +8,12 @@ from pgroupoid.degree import StarryWord, degree_model
 
 from helpers import (
     MODEL_FIXTURES,
+    SUB_NERVE_GROUPOIDS,
     brute_starry_members,
     load,
     pentagon_figure_pair,
     square_pair,
+    sub_nerve,
 )
 
 
@@ -69,8 +72,36 @@ def _symmetric_models():
     yield pg.nerve_truncation(pg.interval_groupoid())
 
 
+GLUABLE = {"na": (pg.COMPATIBLE, pg.WELL_BEHAVED), "a": (pg.WELL_BEHAVED,)}
+
+
+def _gluings(ns):
+    """Every NA and A gluing of the (n+1)-gon for n in ``ns``."""
+    for n in ns:
+        tris = pg.enumerate_triangulations(n)
+        for t in tris:
+            for t2 in tris:
+                for variant in ("na", "a"):
+                    if pg.pair_classify(t, t2) in GLUABLE[variant]:
+                        yield pg.build_glued(t, t2, variant).model
+
+
+def _drawn_sub_nerves(count):
+    rng = random.Random(20)
+    nerves = [pg.nerve_truncation(g) for g in SUB_NERVE_GROUPOIDS]
+    nerves.append(pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c", "d"])))
+    for _ in range(count):
+        yield sub_nerve(rng.choice(nerves), rng, rng.uniform(0.5, 0.95),
+                        rng.uniform(0.2, 0.8))
+
+
 def test_starry_member_matches_pullback_oracle():
-    cases = [(model, n) for model in _symmetric_models() for n in (2, 3)]
+    # every word of length 2 and 3 on the small models; on all of them the
+    # degree witnesses are the first words of distinct nonidentity legs
+    # that the oracle's member pairs make bounding or not
+    small = list(_symmetric_models()) + list(_gluings((3, 4)))
+    small += list(_drawn_sub_nerves(60))
+    cases = [(model, n) for model in small for n in (2, 3)]
     cases.append((load("na_square.pgd"), 4))
     checked = 0
     for model, n in cases:
@@ -80,6 +111,30 @@ def test_starry_member_matches_pullback_oracle():
                 assert _star(model, source, *legs) == (legs in members), legs
                 checked += 1
     assert checked > 6000
+    # every gluing at n = 5, every tenth at n = 6 (all 1,644 take 30 s)
+    sixes = itertools.islice(_gluings((6,)), 0, None, 10)
+    for model in small + list(_gluings((5,))) + list(sixes):
+        first_triple = first_outside = None
+        for source in model.objects:
+            legs = [e for e in model.out_edges(source) if not model.is_identity(e)]
+            pairs = brute_starry_members(model, source, 2)
+            triples = brute_starry_members(model, source, 3)
+            for triple in itertools.combinations(legs, 3):
+                assert triple not in triples
+                if first_triple is None and all(
+                        p in pairs for p in itertools.combinations(triple, 2)):
+                    first_triple = StarryWord(source, triple)
+            for pair in itertools.combinations(legs, 2):
+                if first_outside is None and pair not in pairs:
+                    first_outside = StarryWord(source, pair)
+        assert pg.degree3_witness(model) == first_triple
+        if first_triple is not None:
+            expected = (3, first_triple)
+        elif first_outside is not None:
+            expected = (2, first_outside)
+        else:
+            expected = (1, None)
+        assert degree_model(model) == expected
 
 
 # -- witnesses -------------------------------------------------------------------

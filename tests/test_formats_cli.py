@@ -50,6 +50,43 @@ def test_pgd_self_inverse_round_trip():
     assert parse_pgd(text) == m
 
 
+def _partner_renamed(nerve):
+    """The nerve rebuilt from its edge pairs, each partner named f^."""
+    rename = {}
+    pairs, self_inverse = [], []
+    for pair in nerve.edge_pairs():
+        e = nerve.edge(pair[0])
+        pairs.append((e.name, e.src, e.tgt))
+        if len(pair) == 1:
+            self_inverse.append(e.name)
+        else:
+            rename[pair[1]] = e.name + "^"
+    triangles = [tuple(rename.get(x, x) for x in t) for t in nerve.triangles]
+    return pg.TruncatedModel.symmetric(nerve.objects, pairs, triangles, self_inverse)
+
+
+@pytest.mark.parametrize("group", [pg.cyclic_group(3), pg.cyclic_group(5),
+                                   pg.pair_groupoid(["a", "b", "c"])],
+                         ids=["Z3", "Z5", "pair(3)"])
+def test_pgd_round_trip_renames_nerve_partners(group):
+    nerve = pg.nerve_truncation(group)
+    assert any(len(p) == 2 and p[1] != p[0] + "^" for p in nerve.edge_pairs())
+    back = parse_pgd(emit_pgd(nerve))
+    assert back.validate().ok
+    assert back == _partner_renamed(nerve)
+    assert emit_pgd(back) == emit_pgd(nerve)
+
+
+def test_pgd_emit_refuses_a_partner_name_held_by_another_edge():
+    # x's partner is y, and x^ is the partner of another loop z
+    edges = [pg.Edge("1@o", "o", "o", inv="1@o", is_identity=True),
+             pg.Edge("x", "o", "o", inv="y"), pg.Edge("y", "o", "o", inv="x"),
+             pg.Edge("x^", "o", "o", inv="z"), pg.Edge("z", "o", "o", inv="x^")]
+    model = pg.TruncatedModel("symmetric", ["o"], edges, [])
+    with pytest.raises(FormatError, match=r"\('x', 'y'\).*x\^ names another edge"):
+        emit_pgd(model)
+
+
 def test_pgd_parse_errors():
     with pytest.raises(FormatError):
         parse_pgd("mode symmetric\n")

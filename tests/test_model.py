@@ -1,11 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgroupoid as pg
 from pgroupoid.model import orbit_images
 
-from helpers import (SUB_NERVE_GROUPOIDS, brute_symmetric_laws, example1_symmetric,
-                     horn_symmetric, load)
+from helpers import (MODEL_FIXTURES, SUB_NERVE_GROUPOIDS, brute_products,
+                     brute_symmetric_laws, example1_symmetric, groupoid_pool,
+                     horn_symmetric, load, sub_nerve)
 
 
 def test_example1_fixture_validates():
@@ -240,12 +243,63 @@ def _sub_nerve_model(draw):
     return pg.TruncatedModel("symmetric", nerve.objects, edges, triangles)
 
 
+def _assert_one_table(model):
+    """``mult``, ``products_from`` and ``products_to`` agree with products
+    re-derived from the stored triangles."""
+    products = brute_products(model)
+    for f, ef in model.edges.items():
+        assert model.products_from(f) == {
+            g: h for (f2, g), h in products.items() if f2 == f}
+        for g, eg in model.edges.items():
+            if ef.tgt == eg.src:
+                assert model.mult(f, g) == products.get((f, g)), (f, g)
+    for h in model.edges:
+        assert model.products_to(h) == tuple(sorted(
+            (f, g) for f, g, k in model.triangles if k == h == products[(f, g)]))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_raw_edge_pairs_model(), _sub_nerve_model()))
 def test_validate_agrees_with_brute_force_laws(model):
     # validate checks the involution and spininess only; orbit closure and
-    # two-sided cancellation must follow from the constructor's closure
+    # two-sided cancellation must follow from the constructor's closure;
+    # valid or not, the product table answers as the stored triangles say
     assert model.validate().ok == brute_symmetric_laws(model)
+    _assert_one_table(model)
+
+
+# -- the product table ----------------------------------------------------------
+
+
+def _raw_fault_tables():
+    """A spine collision, degenerate collisions and an involution fault."""
+    yield pg.TruncatedModel.simplicial(
+        ["0", "1", "2"],
+        [("f", "0", "1"), ("g", "1", "2"), ("h", "0", "2"), ("h2", "0", "2")],
+        [("f", "g", "h2"), ("f", "g", "h")])
+    yield pg.TruncatedModel.symmetric(
+        list("012"),
+        [("e", "0", "0"), ("f", "0", "1"), ("h", "0", "2"), ("k", "0", "2")],
+        [("1@0", "h", "k"), ("f", "f^", "e"), ("k", "1@2", "h")])
+    yield pg.TruncatedModel("symmetric", ["0", "1"], [
+        pg.Edge("1@0", "0", "0", inv="1@0", is_identity=True),
+        pg.Edge("1@1", "1", "1", inv="1@1", is_identity=True),
+        pg.Edge("f", "0", "1", inv="g"), pg.Edge("g", "0", "1", inv="f"),
+        pg.Edge("k", "1", "1", inv="k")], [("f", "k", "g")])
+
+
+def test_product_table_matches_triangle_oracle():
+    models = [load(name) for name in MODEL_FIXTURES]
+    models += [pg.symmetrize(m) for m in models if m.mode == "simplicial"]
+    models += [pg.nerve_truncation(cat) for cat in groupoid_pool()]
+    rng = random.Random(20)
+    for nerve in _NERVES:
+        models += [sub_nerve(nerve, rng, rng.uniform(0.5, 0.95), rng.uniform(0.2, 0.8))
+                   for _ in range(10)]
+    faulty = list(_raw_fault_tables())
+    assert all(not m.validate().ok for m in faulty)
+    for model in models + faulty:
+        _assert_one_table(model)
 
 
 # -- nerves ----------------------------------------------------------------------
