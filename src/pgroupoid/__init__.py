@@ -94,6 +94,7 @@ from .words import (
     ReflectResult,
     WordError,
     Zigzag,
+    abelian_suspects,
     check_word,
     contract,
     contractions,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .category import FiniteCategory
-from .model import SIMPLICIAL, SYMMETRIC, Edge, TruncatedModel
+from .model import SIMPLICIAL, SYMMETRIC, Edge, TruncatedModel, identity_name
 
 TOKEN = re.compile(r"[A-Za-z0-9_']+\^?$|1@[A-Za-z0-9_']+$")
 NAME = re.compile(r"[A-Za-z0-9_']+$")
@@ -132,8 +132,17 @@ def emit_pgd(model: TruncatedModel) -> str:
     A symmetric pair is declared by its least edge f, whose partner is f
     itself or is written f^; a partner with another name (``x2`` beside
     ``x`` in the nerve of Z3) is renamed f^ before the triangle orbits
-    are taken.  Raises :class:`FormatError` when another edge holds f^.
+    are taken.  Raises :class:`FormatError` when another edge holds f^,
+    and, as :func:`emit_cat` does, naming the first object or declared
+    edge whose name :func:`parse_pgd` refuses, or an identity not named
+    ``1@<object>``.
     """
+    for o in model.objects:
+        if not NAME.fullmatch(o):
+            raise FormatError(f"object {o!r} has no PGD name")
+    for e in model.edges.values():
+        if e.is_identity and e.name != identity_name(e.src):
+            raise FormatError(f"identity {e.name!r} is not named {identity_name(e.src)}")
     if model.mode == SYMMETRIC:
         model = _partners_renamed(model)
         names = [pair[0] for pair in model.edge_pairs()]
@@ -143,6 +152,8 @@ def emit_pgd(model: TruncatedModel) -> str:
     for o in model.objects:
         out.append(f"object {o}")
     for name in names:
+        if not NAME.fullmatch(name):
+            raise FormatError(f"edge {name!r} has no PGD name")
         e = model.edge(name)
         tag = " self" if e.inv == name else ""
         out.append(f"edge {name} {e.src} {e.tgt}{tag}")

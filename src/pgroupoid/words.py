@@ -8,7 +8,10 @@ down to a single edge evaluates one full parenthesization of the word.
 more values is *mean*, otherwise *kind*.  An edge is *sad* when it is a
 value of some mean word, and a model embeds into the nerve of its
 fundamental groupoid exactly when every edge is happy, so the bounded
-scan below is the embeddability probe of the package.
+scan below is the embeddability probe of the package.  All values of one
+word have one image in the abelian group of the triangle relations, so
+:func:`abelian_suspects` lists the parallel edges that can be two values
+of a word, and the scan reads only those, or none.
 
 Searches are deterministic: witnesses are the shortest mean word, and
 among those the one with the fewest inverse-marked letters, ties broken
@@ -156,13 +159,16 @@ class ValueTable:
     exact: the layer is empty exactly when it has no productive split,
     whatever it drops.  A word with two values in ``among`` has them in
     one parallel class, so it is kept with all of its values there:
-    :func:`mean_scan` reads every value, :func:`mountain` f and g.
+    :func:`mean_scan` reads the suspect edges, :func:`mountain` f and g.
 
-    For the same reason no reader within the bound can use a word when
-    ``among`` (None: every edge) holds no two parallel edges.  Such a
-    table starts from empty letter sets, so every set it builds is empty:
-    it joins no word, but its keys, the values some word of each length
-    has, are still exact, and so are emptiness and exhaustion.
+    For the same reason a bounded table seeds only the letters of the
+    connected components where ``among`` (None: every edge) holds two
+    parallel edges: a word lies in one component, with all of its values.
+    Every other letter starts from an empty set, so every set built in its
+    component is empty.  The keys, the values some word of each length
+    has, are still exact, and so are emptiness and exhaustion; a table
+    with no such component joins no word.  All of this takes the values
+    of a word to be parallel, which a broken involution can undo.
     """
 
     def __init__(self, model: TruncatedModel, bound: int | None = None,
@@ -172,17 +178,16 @@ class ValueTable:
         self.among = among
         self.letters = model.nonidentity_edges()
         self.bits = max(1, (len(self.letters) - 1).bit_length())
-        pool = model.edges if among is None else among
-        ends = {(e.src, e.tgt) for e in map(model.edge, pool)}
-        idle = bound is not None and len(ends) == len(pool)
-        self.by_value = [{}, {e: set() if idle else {i} for i, e in enumerate(self.letters)}]
+        live = (set(self.letters) if bound is None
+                else _live_edges(model, model.edges if among is None else among))
+        self.by_value = [{}, {e: {i} if e in live else set()
+                              for i, e in enumerate(self.letters)}]
         self._exhausted = False
 
     def layer(self, length: int) -> set[int]:
         """The packed valued words of one length, building lower layers first.
 
-        Empty at every length for a bounded table whose ``among`` holds no
-        two parallel edges.
+        A bounded table holds only the words of its seeded components.
         """
         if self.bound is not None and length > self.bound:
             raise WordError(f"layer {length} lies beyond the table's bound {self.bound}")
@@ -243,6 +248,23 @@ class ValueTable:
         empty.
         """
         return self._exhausted and not any(self.by_value[length + 1:])
+
+
+def _live_edges(model: TruncatedModel, pool) -> set[str]:
+    """The edges whose connected component holds two parallel edges of ``pool``."""
+    root = {o: o for o in model.objects}
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for e in model.edges.values():
+        root[find(e.src)] = find(e.tgt)
+    counts = Counter((model.edge(e).src, model.edge(e).tgt) for e in pool)
+    live = {find(src) for (src, _), n in counts.items() if n > 1}
+    return {name for name, e in model.edges.items() if find(e.src) in live}
 
 
 def _parallel_values(model: TruncatedModel, reached):
@@ -336,14 +358,163 @@ def mean_scan(model: TruncatedModel, max_len: int, *,
               collect_all: bool = False) -> MeanScanResult:
     """Search composable words of length 2..max_len for a mean word.
 
+    All values of a mean word lie in one suspect class of
+    :func:`abelian_suspects`, so the scan reads only the suspect edges, and
+    a model with no suspect class is kind at every length without a scan.
+    The witness, its values, the sad edges and the count are those of the
+    scan over every value, which a model with involution faults gets.
     Layer ``max_len`` keeps only the values of parallel classes that reach
     two values at that length (:func:`_parallel_values`): a class with one
     reachable value holds no mean word there, and no longer layer is built.
-    A model with no two parallel edges joins no word (:class:`ValueTable`).
     """
     if max_len < 2:
         raise WordError("mean scan needs max_len >= 2")
-    return _scan(model, max_len, None, collect_all)
+    suspects = abelian_suspects(model)
+    if suspects is None:
+        return _scan(model, max_len, None, collect_all)
+    if not suspects:
+        return MeanScanResult(max_len)
+    return _scan(model, max_len, set(chain.from_iterable(suspects)), collect_all)
+
+
+# -- the abelian certificate -----------------------------------------------------
+
+
+def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...] | None:
+    """The classes of two or more parallel edges with one abelian image.
+
+    Let A be the abelian group on the edges modulo f + g = h for each
+    stored triangle (f, g, h), with identities 0 and f~ = -f.  Every
+    product the scan reads is a stored spine or degenerate, so a
+    contraction keeps the sum of a word's letters in A, and all values of
+    a word, at any length, are parallel edges with one image.  Each such
+    class of two or more edges is a suspect class, and a model with none
+    has no mean word.  A is Z^n modulo the triangle rows, one column per
+    involution pair (per nonidentity edge in a simplicial model) and a row
+    2x per self-inverse loop x; only edges with a parallel partner are
+    reduced, and every row is re-checked against the basis.
+
+    A model with involution faults gets None: its words can have values
+    that are not parallel.
+    """
+    if model._involution_faults:
+        return None
+    relations = set()
+    closed = model.mode == SYMMETRIC
+    if closed:
+        coord = {}
+        for col, pair in enumerate(model.edge_pairs()):
+            coord[pair[0]] = (col, 1)
+            if len(pair) == 2:
+                coord[pair[1]] = (col, -1)
+            else:
+                relations.add(((col, 2),))
+    else:
+        coord = {e: (col, 1) for col, e in enumerate(model.nonidentity_edges())}
+    for t in model.triangles:
+        # The images (f, g, h), (g, h~, f~) and (h~, f, g~) of one orbit give
+        # one row, and f > g > h~ > f cannot hold, so a closed table stores
+        # one with f <= g, or drops one whose row is zero.
+        if closed and t[0] > t[1]:
+            continue
+        row: dict[int, int] = {}
+        for name, sign in zip(t, (1, 1, -1)):
+            c = coord.get(name)
+            if c:
+                row[c[0]] = row.get(c[0], 0) + sign * c[1]
+        rel = [item for item in sorted(row.items()) if item[1]]
+        if rel:
+            relations.add(tuple(rel) if rel[0][1] > 0 else tuple((c, -k) for c, k in rel))
+    basis = _echelon(relations)
+    for rel in relations:
+        if _reduce(basis, rel):
+            raise AssertionError(f"relation {rel} fails its re-check against the basis")
+    parallel: dict[tuple[str, str], list[str]] = {}
+    for name, e in model.edges.items():
+        parallel.setdefault((e.src, e.tgt), []).append(name)
+    classes = []
+    for names in parallel.values():
+        if len(names) < 2:
+            continue
+        images: dict[tuple, list[str]] = {}
+        for name in names:
+            image = _reduce(basis, (coord[name],)) if name in coord else ()
+            images.setdefault(image, []).append(name)
+        classes += [tuple(sorted(c)) for c in images.values() if len(c) > 1]
+    return tuple(sorted(classes))
+
+
+def _echelon(relations) -> dict[int, dict[int, int]]:
+    """An echelon basis of the lattice the rows span: pivot column -> row
+    (column -> coefficient) whose least column is the pivot, positive there.
+
+    A row a·x + ... meeting a pivot row p·x + ... is cut down by it when p
+    divides a, the common case.  Otherwise the two rows are replaced by
+    their combinations by the extended gcd g: one with g at x, the new
+    pivot row, and one with 0 there, which goes on.  The pair is
+    unimodular, so the lattice is kept.
+    """
+    basis: dict[int, dict[int, int]] = {}
+    for rel in relations:
+        row = dict(rel)
+        while row:
+            col = min(row)
+            a = row[col]
+            pivot = basis.get(col)
+            if pivot is None:
+                basis[col] = row if a > 0 else {c: -k for c, k in row.items()}
+                break
+            p = pivot[col]
+            if a % p == 0:
+                row = _combine(1, row, -(a // p), pivot)
+            else:
+                g, s, t = _xgcd(p, a)
+                basis[col] = _combine(s, pivot, t, row)
+                row = _combine(a // g, pivot, -(p // g), row)
+    return basis
+
+
+def _combine(x: int, u: dict[int, int], y: int, v: dict[int, int]) -> dict[int, int]:
+    """x u + y v, without zero coefficients."""
+    out = {c: x * k for c, k in u.items()}
+    for c, k in v.items():
+        out[c] = out.get(c, 0) + y * k
+    return {c: k for c, k in out.items() if k}
+
+
+def _xgcd(p: int, a: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(p, a) > 0 and s p + t a = g, for p > 0."""
+    r0, r1, s0, s1, t0, t1 = p, abs(a), 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return r0, s0, t0 if a > 0 else -t0
+
+
+def _reduce(basis: dict[int, dict[int, int]], vector) -> tuple[tuple[int, int], ...]:
+    """The canonical remainder of ``vector`` modulo the basis lattice.
+
+    Columns are taken in increasing order and each pivot coefficient is
+    cut into [0, pivot); pivot rows touch only later columns, so two
+    vectors differ by a lattice element exactly when their remainders are
+    equal.
+    """
+    v = dict(vector)
+    out = []
+    while v:
+        col = min(v)
+        row = basis.get(col)
+        if row is not None:
+            q = v[col] // row[col]
+            if q:
+                for c, k in row.items():
+                    v[c] = v.get(c, 0) - q * k
+        a = v.pop(col)
+        if a:
+            out.append((col, a))
+    return tuple(out)
 
 
 # -- zigzags and mountains -----------------------------------------------------

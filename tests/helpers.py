@@ -352,6 +352,100 @@ def sub_nerve(nerve, rng, edge_p, tri_p):
     return pg.TruncatedModel(nerve.mode, nerve.objects, edges, triangles)
 
 
+def oriented_half(model):
+    """The simplicial model on the least edge of each two-edge involution
+    pair of a symmetric model, with the stored triangles among them.  It
+    maps into the model, so it is kind when the model is."""
+    names = {pair[0] for pair in model.edge_pairs() if len(pair) == 2}
+    edges = [(name, model.edge(name).src, model.edge(name).tgt) for name in sorted(names)]
+    triangles = [t for t in model.triangles if set(t) <= names]
+    return pg.TruncatedModel.simplicial(model.objects, edges, triangles)
+
+
+def model_union(left, right):
+    """The disjoint union of two models of one mode, every name of the left
+    summand prefixed ``L`` and of the right one ``R`` (identities
+    ``1@L<object>``)."""
+    objects, edges, triangles = [], [], []
+    for tag, model in (("L", left), ("R", right)):
+        def name(e, tag=tag):
+            if e.startswith(IDENTITY_PREFIX):
+                return IDENTITY_PREFIX + tag + e[len(IDENTITY_PREFIX):]
+            return tag + e
+
+        objects += [tag + o for o in model.objects]
+        edges += [pg.Edge(name(e.name), tag + e.src, tag + e.tgt,
+                          inv=None if e.inv is None else name(e.inv),
+                          is_identity=e.is_identity) for e in model.edges.values()]
+        triangles += [tuple(map(name, t)) for t in model.triangles]
+    return pg.TruncatedModel(left.mode, objects, edges, triangles)
+
+
+# -- abelian image oracle -------------------------------------------------------------
+
+
+def brute_abelian_classes(model):
+    """The classes of two or more parallel edges equal in the abelian group
+    of the product table, as a sorted tuple of sorted tuples.
+
+    One column per edge, identities included, and one row per defined
+    product f g = h (degenerates included), per identity (id = 0) and, in
+    a symmetric model, per edge (e + e~ = 0).  Rows go into a dense
+    echelon form by repeated Euclidean division in each column; a
+    difference e - e' lies in the row lattice when every pivot divides it
+    down to zero.
+    """
+    names = sorted(model.edges)
+    col = {e: i for i, e in enumerate(names)}
+
+    def vector(*terms):
+        v = [0] * len(names)
+        for e, k in terms:
+            v[col[e]] += k
+        return v
+
+    rows = [vector((e, 1)) for e in names if model.is_identity(e)]
+    if model.mode == "symmetric":
+        rows += [vector((e, 1), (model.inv(e), 1)) for e in names]
+    rows += [vector((f, 1), (g, 1), (h, -1))
+             for f in names for g, h in model.products_from(f).items()]
+    pivots = {}
+    for c in range(len(names)):
+        live = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[c]))
+            head = live[0]
+            rest = []
+            for r in live[1:]:
+                q = r[c] // head[c]
+                r = [x - q * y for x, y in zip(r, head)]
+                (rest if r[c] else rows).append(r)
+            live = [head] + rest
+        if live:
+            pivots[c] = live[0]
+
+    def in_lattice(v):
+        for c in range(len(names)):
+            if v[c] and (c not in pivots or v[c] % pivots[c][c]):
+                return False
+            if v[c]:
+                q = v[c] // pivots[c][c]
+                v = [x - q * y for x, y in zip(v, pivots[c])]
+        return True
+
+    parallel = {}
+    for e in names:
+        parallel.setdefault((model.edge(e).src, model.edge(e).tgt), []).append(e)
+    classes = set()
+    for group in parallel.values():
+        for e in group:
+            same = tuple(x for x in group if in_lattice(vector((e, 1), (x, -1))))
+            if len(same) > 1:
+                classes.add(same)
+    return tuple(sorted(classes))
+
+
 # -- superseded merge and peel paths ---------------------------------------------
 
 
@@ -479,6 +573,17 @@ def disjoint_union(cat1, cat2, tag1="L", tag2="R"):
     o1, m1, t1 = renamed(cat1, tag1)
     o2, m2, t2 = renamed(cat2, tag2)
     return FiniteCategory(o1 + o2, m1 + m2, {**t1, **t2})
+
+
+def symmetric_group_3():
+    """S3 as a one-object groupoid on its six permutations: the 3-cycles
+    r and r2, the transpositions a, b and c."""
+    names = {(0, 1, 2): IDENTITY_PREFIX + "o", (1, 2, 0): "r", (2, 0, 1): "r2",
+             (0, 2, 1): "a", (2, 1, 0): "b", (1, 0, 2): "c"}
+    perms = [p for p in names if not names[p].startswith(IDENTITY_PREFIX)]
+    table = {(names[g], names[f]): names[tuple(g[i] for i in f)]
+             for f in perms for g in perms}
+    return FiniteCategory(["o"], [(names[p], "o", "o") for p in perms], table)
 
 
 def groupoid_pool():

@@ -15,6 +15,7 @@ import pgroupoid as pg
 from pgroupoid import fixtures
 from pgroupoid.cli import build_parser, main
 from pgroupoid.formats import (
+    NAME,
     FormatError,
     emit_cat,
     emit_pgd,
@@ -24,7 +25,7 @@ from pgroupoid.formats import (
     parse_word,
 )
 
-from helpers import MODEL_FIXTURES, category_pool
+from helpers import MODEL_FIXTURES, category_pool, groupoid_pool
 
 
 # -- formats -----------------------------------------------------------------
@@ -85,6 +86,71 @@ def test_pgd_emit_refuses_a_partner_name_held_by_another_edge():
     model = pg.TruncatedModel("symmetric", ["o"], edges, [])
     with pytest.raises(FormatError, match=r"\('x', 'y'\).*x\^ names another edge"):
         emit_pgd(model)
+
+
+def _named_models():
+    yield from (pg.nerve_truncation(cat) for cat in groupoid_pool())
+    for n in (3, 4):
+        tris = pg.enumerate_triangulations(n)
+        for t in tris:
+            for t2 in tris:
+                if pg.pair_classify(t, t2) != pg.INCOMPATIBLE:
+                    yield pg.build_glued(t, t2).model
+    yield from (fixtures.load_model(name) for name in MODEL_FIXTURES)
+
+
+NAMED_MODELS = list(_named_models())
+OBJECT_NAMES = ("o", "p'", "q_1", "s^", "t u", "1@v", "w\n", "")
+EDGE_NAMES = ("a", "b'", "c_2", "e^", "f g", "1@h", "k-l", "m\n", "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NAMED_MODELS), st.data())
+def test_pgd_round_trips_or_refuses_every_name(model, data):
+    """A library model under hand-drawn names, some of which PGD cannot
+    hold, round-trips through PGD (partners named f^) or is refused."""
+    objects = data.draw(st.permutations(sorted({*OBJECT_NAMES, *model.objects})))
+    objects = objects[:len(model.objects)]
+    obj = dict(zip(model.objects, objects))
+    names = model.nonidentity_edges()
+    drawn = data.draw(st.permutations(sorted({*EDGE_NAMES, *names})))[:len(names)]
+    keep_identity_names = data.draw(st.booleans())
+    rename = dict(zip(names, drawn))
+    for o in model.objects:
+        old = pg.identity_name(o)
+        rename[old] = old if keep_identity_names else pg.identity_name(obj[o])
+    edges = [pg.Edge(rename[e.name], obj[e.src], obj[e.tgt],
+                     inv=None if e.inv is None else rename[e.inv],
+                     is_identity=e.is_identity) for e in model.edges.values()]
+    triangles = [tuple(rename[x] for x in t) for t in model.triangles]
+    named = pg.TruncatedModel(model.mode, objects, edges, triangles)
+    readable = (all(NAME.fullmatch(o) for o in named.objects)
+                and all(NAME.fullmatch(e) for e in named.nonidentity_edges())
+                and all(e.name == pg.identity_name(e.src)
+                        for e in named.edges.values() if e.is_identity))
+    try:
+        text = emit_pgd(named)
+    except FormatError:
+        assert not readable
+        return
+    back = parse_pgd(text)
+    assert back == (_partner_renamed(named) if named.mode == "symmetric" else named)
+
+
+def test_pgd_emit_refuses_unreadable_names():
+    # the pair (a^, c) declares a^; parse_pgd refuses it as a declared name
+    edges = [pg.Edge("1@o", "o", "o", inv="1@o", is_identity=True),
+             pg.Edge("1@p", "p", "p", inv="1@p", is_identity=True),
+             pg.Edge("a^", "o", "p", inv="c"), pg.Edge("c", "p", "o", inv="a^")]
+    with pytest.raises(FormatError, match=r"edge 'a\^' has no PGD name"):
+        emit_pgd(pg.TruncatedModel("symmetric", ["o", "p"], edges, []))
+    with pytest.raises(FormatError, match=r"edge 'a b' has no PGD name"):
+        emit_pgd(pg.TruncatedModel.symmetric(["o"], [("a b", "o", "o")]))
+    with pytest.raises(FormatError, match=r"object 'o p' has no PGD name"):
+        emit_pgd(pg.TruncatedModel.simplicial(["o p"], []))
+    edges = [pg.Edge("e", "o", "o", inv="e", is_identity=True)]
+    with pytest.raises(FormatError, match=r"identity 'e' is not named 1@o"):
+        emit_pgd(pg.TruncatedModel("symmetric", ["o"], edges, []))
 
 
 def test_pgd_parse_errors():

@@ -7,21 +7,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgroupoid as pg
-from pgroupoid.words import ValueTable, word_sort_key
+from pgroupoid.words import ValueTable, _scan, word_sort_key
 
 from helpers import (
     FullScan,
     MODEL_FIXTURES,
     SUB_NERVE_GROUPOIDS,
     all_composable_words,
+    brute_abelian_classes,
     brute_contracts_to,
     brute_values,
     example1_symmetric,
+    groupoid_pool,
     horn_symmetric,
     load,
+    model_union,
+    oriented_half,
     pentagon_figure_pair,
     stabilized_merge,
     sub_nerve,
+    symmetric_group_3,
 )
 
 
@@ -358,6 +363,26 @@ def _parallel_reached(model, index, among):
     return {v for v in reached if counts[ends[v]] > 1}
 
 
+def _seeded_edges(model, among):
+    """The edges whose connected component, found by a walk over both edge
+    directions, holds two parallel edges of ``among`` (None: all)."""
+    neighbours = {o: set() for o in model.objects}
+    for e in model.edges.values():
+        neighbours[e.src].add(e.tgt)
+        neighbours[e.tgt].add(e.src)
+    component = {}
+    for start in model.objects:
+        stack = [start]
+        while stack:
+            o = stack.pop()
+            if o not in component:
+                component[o] = start
+                stack.extend(neighbours[o])
+    live = {component[model.edge(v).src]
+            for v in _parallel_reached(model, model.edges, among)}
+    return {name for name, e in model.edges.items() if component[e.src] in live}
+
+
 def _ascending_half():
     """The simplicial model on the edges of a pair(4) sub-nerve that go up
     in object order, with the stored triangles among them; its words
@@ -375,6 +400,8 @@ def _ascending_half():
 def _exhaustion_models():
     yield from _fixture_models()
     yield "ascending half of a pair(4) sub-nerve", _ascending_half()
+    # a component with parallel edges beside one without any
+    yield "a_square + na_square", model_union(load("a_square.pgd"), load("na_square.pgd"))
 
 
 def _full_exhaustion(model, max_len):
@@ -390,7 +417,8 @@ def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, mode
     full_table.layer(max(SCAN_BOUNDS))
     pairs = _parallel_pairs(model)[:3]
     for bound in SCAN_BOUNDS:
-        scans = [(None, lambda: pg.mean_scan(model, bound, collect_all=True))]
+        # the scan over every value, which mean_scan skips or narrows
+        scans = [(None, lambda: _scan(model, bound, None, collect_all=True))]
         scans += [({f, g}, lambda f=f, g=g: pg.mountain(model, f, g, bound))
                   for f, g in pairs]
         for among, scan in scans:
@@ -398,16 +426,17 @@ def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, mode
             if seen[-1][0] < bound:
                 # a scan stops early only on exhaustion (mountain also on a find)
                 assert seen[-1][2] or among is not None
-            idle = not _parallel_reached(model, model.edges, among)
+            seeded = _seeded_edges(model, among)
             for length, index, exhausted in seen:
                 full_index = full_table.by_value[length]
                 assert exhausted == full[length - 2][2]
                 if length < bound:
                     assert index.keys() == full_index.keys()
-                # every set is complete, or empty when no two edges among
-                # ``among`` are parallel, and the sets hold every parallel
-                # value reached at that length
-                assert all(index[v] == (set() if idle else full_index[v]) for v in index)
+                # every set is complete in a component where ``among`` holds
+                # two parallel edges and empty elsewhere, and the sets hold
+                # every parallel value reached at that length
+                assert all(index[v] == (full_index[v] if v in seeded else set())
+                           for v in index)
                 assert _parallel_reached(model, full_index, among) <= index.keys()
 
 
@@ -434,7 +463,7 @@ def test_exhaustion_closes_on_the_last_layer():
 def test_models_without_parallel_edges_build_no_word(monkeypatch, model):
     assert not _parallel_pairs(model)
     for bound in (2, 5, 8):
-        seen = _scan_layers(monkeypatch, lambda: pg.mean_scan(model, bound, collect_all=True))
+        seen = _scan_layers(monkeypatch, lambda: _scan(model, bound, None, collect_all=True))
         assert [length for length, _, _ in seen] == list(range(2, bound + 1))
         assert not any(words for _, index, _ in seen for words in index.values())
 
@@ -449,6 +478,120 @@ def test_layer_at_the_bound_keeps_parallel_values_among():
         table = ValueTable(na, 3, among)
         table.layer(3)
         assert table.by_value[3] == {v: full.by_value[3][v] for v in kept}
+
+
+# -- the abelian certificate -----------------------------------------------------------
+
+
+def _check_guided_scan(model, bound=6):
+    """mean_scan, which scans only the suspect edges, gives the scan over
+    every value in both modes; a model with no suspect class is kind, and
+    the classes are those of the dense abelian oracle."""
+    suspects = pg.abelian_suspects(model)
+    assert suspects == brute_abelian_classes(model)
+    for collect_all in (False, True):
+        plain = _scan(model, bound, None, collect_all)
+        assert pg.mean_scan(model, bound, collect_all=collect_all) == plain
+        assert plain.is_kind or suspects
+        assert set(plain.sad_edges) <= set().union(*suspects)
+
+
+def _gluings(max_n):
+    for n in range(3, max_n + 1):
+        tris = pg.enumerate_triangulations(n)
+        for t in tris:
+            for t2 in tris:
+                kind = pg.pair_classify(t, t2)
+                if kind != pg.INCOMPATIBLE:
+                    yield pg.build_glued(t, t2).model
+                if kind == pg.WELL_BEHAVED:
+                    yield pg.build_glued(t, t2, variant="a").model
+
+
+def test_guided_scan_matches_the_plain_scan_on_gluings():
+    # bound 5 on the 108 hexagon pairs, whose gluings are mean by length 5
+    for model in _gluings(5):
+        _check_guided_scan(model, 6 if len(model.objects) < 6 else 5)
+
+
+def test_guided_scan_matches_the_plain_scan_on_fixtures_and_nerves():
+    for name in MODEL_FIXTURES:
+        model = load(name)
+        _check_guided_scan(model)
+        if model.mode == pg.model.SIMPLICIAL:
+            _check_guided_scan(pg.symmetrize(model))
+    for cat in groupoid_pool() + [symmetric_group_3()]:
+        _check_guided_scan(pg.nerve_truncation(cat))
+    # S3's abelian image is Z2, so its 3-cycles are suspect with the identity
+    s3 = pg.nerve_truncation(symmetric_group_3())
+    assert pg.abelian_suspects(s3) == (("1@o", "r", "r2"), ("a", "b", "c"))
+
+
+# S3 is the one nonabelian group here: only its sub-nerves have suspect classes
+CERTIFIED_GROUPOIDS = SUB_NERVE_GROUPOIDS + (symmetric_group_3(),)
+NA_GLUINGS = list(_gluings(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(CERTIFIED_GROUPOIDS))), st.integers(0, 2**32),
+       st.floats(0.5, 1.0), st.floats(0.2, 1.0), st.sampled_from(NA_GLUINGS))
+def test_guided_scan_matches_the_plain_scan_on_sub_nerves(which, seed, edge_p, tri_p,
+                                                           gluing):
+    model = sub_nerve(pg.nerve_truncation(CERTIFIED_GROUPOIDS[which]),
+                      random.Random(seed), edge_p, tri_p)
+    _check_guided_scan(model)
+    _check_guided_scan(oriented_half(model))
+    _check_guided_scan(model_union(model, gluing), 5)
+
+
+def test_abelian_suspects_on_the_fixtures():
+    for name in ("na_square.pgd", "na_pentagon.pgd"):
+        assert pg.abelian_suspects(load(name)) == (("lT", "lT'"), ("lT'^", "lT^"))
+    for name in ("a_square.pgd", "free_one_generator.pgd", "horn.pgd"):
+        assert pg.abelian_suspects(load(name)) == ()
+    assert pg.abelian_suspects(horn_symmetric()) == ()
+    assert pg.abelian_suspects(load("example1.pgd")) == (("f", "g", "h"),)
+    assert pg.abelian_suspects(load("example2.pgd")) == (("f", "g"),)
+
+
+def test_involution_faults_get_the_plain_scan():
+    # x's partner y is its own partner, so the table is not orbit-closed and
+    # the word (x, x, x) has the values x and z
+    edges = [pg.Edge("1@o", "o", "o", inv="1@o", is_identity=True),
+             pg.Edge("x", "o", "o", inv="y"), pg.Edge("y", "o", "o", inv="y"),
+             pg.Edge("z", "o", "o", inv="z")]
+    model = pg.TruncatedModel("symmetric", ["o"], edges,
+                              [("x", "x", "y"), ("y", "x", "z"), ("x", "y", "x")])
+    assert not model.validate().ok
+    assert pg.abelian_suspects(model) is None
+    for collect_all in (False, True):
+        scan = pg.mean_scan(model, 4, collect_all=collect_all)
+        assert scan == _scan(model, 4, None, collect_all)
+        assert scan.witness == ("x", "x", "x") and scan.witness_values == ("x", "z")
+
+
+def test_dropping_a_suspect_class_loses_a_planted_witness(monkeypatch):
+    planted = model_union(pg.nerve_truncation(pg.cyclic_group(3)), load("na_square.pgd"))
+    suspects = pg.abelian_suspects(planted)
+    assert suspects == (("RlT", "RlT'"), ("RlT'^", "RlT^"))
+    plain = _scan(planted, 4, None)
+    assert pg.mean_scan(planted, 4) == plain
+    assert plain.witness == ("Rs1", "Rs2", "Rs3")
+    monkeypatch.setattr(pg.words, "abelian_suspects", lambda model: suspects[1:])
+    assert pg.mean_scan(planted, 4).witness != plain.witness
+
+
+def test_abelian_suspects_rechecks_every_row(monkeypatch):
+    echelon = pg.words._echelon
+
+    def one_row_short(relations):
+        basis = echelon(relations)
+        del basis[max(basis)]
+        return basis
+
+    monkeypatch.setattr(pg.words, "_echelon", one_row_short)
+    with pytest.raises(AssertionError, match="re-check"):
+        pg.abelian_suspects(load("na_square.pgd"))
 
 
 # -- mountains ---------------------------------------------------------------------
