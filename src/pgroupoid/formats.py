@@ -235,11 +235,11 @@ def emit_cat(cat: FiniteCategory) -> str:
     ``path_category``.
     """
     for o in cat.objects:
-        if not NAME.match(o):
+        if not NAME.fullmatch(o):
             raise FormatError(f"object {o!r} has no CAT name")
     out = ["cat 1", "objects " + " ".join(cat.objects)]
     for name in cat.nonidentity_morphisms():
-        if not TOKEN.match(name):
+        if not TOKEN.fullmatch(name):
             raise FormatError(f"morphism {name!r} has no CAT name")
         m = cat.morphism(name)
         out.append(f"mor {name} {m.src} {m.tgt}")

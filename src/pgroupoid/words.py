@@ -151,35 +151,32 @@ class ValueTable:
     value index ``by_value[L]``: value -> set of packed words.  A word with
     several values sits in several sets.
 
-    With a ``bound``, layer ``bound`` is the last one the table builds.  It
-    holds only the sets of the values in ``among`` (None: every value)
-    that some word of that length has and that are parallel to another
-    such value (:func:`_parallel_values`).  No layer is ever joined from
-    it, so every lower layer stays complete, and exhaustion is still
-    exact: the layer is empty exactly when it has no productive split,
-    whatever it drops.  A word with two values in ``among`` has them in
-    one parallel class, so it is kept with all of its values there:
-    :func:`mean_scan` reads the suspect edges, :func:`mountain` f and g.
+    With a ``bound``, layer ``bound`` is the last one the table builds,
+    and ``classes`` names what it is built for: each class is two or more
+    parallel edges that may be two values of one word, and a word with two
+    values has all of them in one class.  The layer at the bound keeps the
+    sets of the values of each class that reaches two or more values at
+    that length; a class with one reachable value holds no such word
+    there.  No layer is ever joined from it, so every lower layer stays
+    complete, and exhaustion is still exact: the layer is empty exactly
+    when it has no productive split, whatever it drops.
 
     For the same reason a bounded table seeds only the letters of the
-    connected components where ``among`` (None: every edge) holds two
-    parallel edges: a word lies in one component, with all of its values.
-    Every other letter starts from an empty set, so every set built in its
-    component is empty.  The keys, the values some word of each length
-    has, are still exact, and so are emptiness and exhaustion; a table
-    with no such component joins no word.  All of this takes the values
-    of a word to be parallel, which a broken involution can undo.
+    connected components that hold a class: a word lies in one component,
+    with all of its values.  Every other letter starts from an empty set,
+    so every set built in its component is empty.  The keys, the values
+    some word of each length has, are still exact, and so are emptiness
+    and exhaustion; a table with no class joins no word.
     """
 
     def __init__(self, model: TruncatedModel, bound: int | None = None,
-                 among: set[str] | None = None):
+                 classes: tuple[tuple[str, ...], ...] = ()):
         self.model = model
         self.bound = bound
-        self.among = among
+        self.classes = classes
         self.letters = model.nonidentity_edges()
         self.bits = max(1, (len(self.letters) - 1).bit_length())
-        live = (set(self.letters) if bound is None
-                else _live_edges(model, model.edges if among is None else among))
+        live = set(self.letters) if bound is None else _live_edges(model, classes)
         self.by_value = [{}, {e: {i} if e in live else set()
                               for i, e in enumerate(self.letters)}]
         self._exhausted = False
@@ -220,9 +217,11 @@ class ValueTable:
             self._exhausted = True
         if size == self.bound:
             reached = {h for _, _, pairs in jobs for h, _ in pairs}
-            if self.among is not None:
-                reached &= self.among
-            kept = _parallel_values(self.model, reached)
+            kept = set()
+            for c in self.classes:
+                hit = reached.intersection(c)
+                if len(hit) > 1:
+                    kept |= hit
             jobs = [(k, v1, [pair for pair in pairs if pair[0] in kept])
                     for k, v1, pairs in jobs]
         acc: dict[str, set[int]] = {}
@@ -250,8 +249,8 @@ class ValueTable:
         return self._exhausted and not any(self.by_value[length + 1:])
 
 
-def _live_edges(model: TruncatedModel, pool) -> set[str]:
-    """The edges whose connected component holds two parallel edges of ``pool``."""
+def _live_edges(model: TruncatedModel, classes) -> set[str]:
+    """The edges whose connected component holds one of the ``classes``."""
     root = {o: o for o in model.objects}
 
     def find(x):
@@ -262,21 +261,8 @@ def _live_edges(model: TruncatedModel, pool) -> set[str]:
 
     for e in model.edges.values():
         root[find(e.src)] = find(e.tgt)
-    counts = Counter((model.edge(e).src, model.edge(e).tgt) for e in pool)
-    live = {find(src) for (src, _), n in counts.items() if n > 1}
+    live = {find(model.edge(c[0]).src) for c in classes}
     return {name for name, e in model.edges.items() if find(e.src) in live}
-
-
-def _parallel_values(model: TruncatedModel, reached):
-    """The values in ``reached`` that share source and target with another.
-
-    All values of one word are parallel, so a mean word of some length has
-    two values in one parallel class of the values reached at that length;
-    its values all lie in classes this keeps.
-    """
-    ends = {h: (model.edge(h).src, model.edge(h).tgt) for h in reached}
-    counts = Counter(ends.values())
-    return {h for h, pair in ends.items() if counts[pair] > 1}
 
 
 # -- mean/kind scan ------------------------------------------------------------
@@ -309,26 +295,26 @@ class MeanScanResult(Record):
         return self.witness is None
 
 
-def _scan(model: TruncatedModel, max_len: int, among: set[str] | None,
+def _scan(model: TruncatedModel, max_len: int, classes: tuple[tuple[str, ...], ...],
           collect_all: bool = False) -> MeanScanResult:
-    """Search words of length 2..max_len for two values among ``among``
-    (None: every value), layer by layer in one :class:`ValueTable`.
+    """Search words of length 2..max_len for two values in one of the
+    ``classes``, layer by layer in one bounded :class:`ValueTable`.
 
-    A word with two such values lies in two of the layer's value sets
-    restricted to ``among``.  The witness is the least word of the first
-    layer that has one, with its values among ``among``, re-checked with
-    :func:`values`; the scan stops there unless ``collect_all``, and on
-    exhaustion.
+    A word with two values has all of them in one class, so it lies in
+    two of the layer's value sets restricted to the union of the classes.
+    The witness is the least word of the first layer that has one, with
+    its values there, re-checked with :func:`values`; the scan stops there
+    unless ``collect_all``, and on exhaustion.
     """
     witness, witness_values, count = None, (), 0
     sad: set[str] = set()
-    table = ValueTable(model, max_len, among)
+    among = set(chain.from_iterable(classes))
+    table = ValueTable(model, max_len, classes)
     for length in range(2, max_len + 1):
-        layer = table.layer(length)
+        table.layer(length)
         index = table.by_value[length]
-        if among is not None:
-            index = {v: index[v] for v in among if v in index}
-            layer = set().union(*index.values())
+        index = {v: index[v] for v in among if v in index}
+        layer = set().union(*index.values())
         # no word lies in two sets when their sizes add up to their union's
         if sum(map(len, index.values())) > len(layer):
             counts = Counter(chain.from_iterable(index.values()))
@@ -338,10 +324,7 @@ def _scan(model: TruncatedModel, max_len: int, among: set[str] | None,
                                       key=lambda pair: word_sort_key(pair[0]))
                 witness_values = tuple(sorted(
                     v for v, ws in index.items() if packed in ws))
-                got = values(model, witness)
-                if among is not None:
-                    got &= among
-                if tuple(sorted(got)) != witness_values:
+                if tuple(sorted(values(model, witness) & among)) != witness_values:
                     raise AssertionError(f"witness {witness} fails its values re-check")
                 if not collect_all:
                     found = {packed}
@@ -354,33 +337,43 @@ def _scan(model: TruncatedModel, max_len: int, among: set[str] | None,
     return MeanScanResult(max_len, witness, witness_values, tuple(sorted(sad)), count)
 
 
+def _refuse_involution_faults(model: TruncatedModel) -> None:
+    if model._involution_faults:
+        raise WordError("the scan needs a model whose involution is valid")
+
+
 def mean_scan(model: TruncatedModel, max_len: int, *,
               collect_all: bool = False) -> MeanScanResult:
     """Search composable words of length 2..max_len for a mean word.
 
     All values of a mean word lie in one suspect class of
-    :func:`abelian_suspects`, so the scan reads only the suspect edges, and
-    a model with no suspect class is kind at every length without a scan.
-    The witness, its values, the sad edges and the count are those of the
-    scan over every value, which a model with involution faults gets.
-    Layer ``max_len`` keeps only the values of parallel classes that reach
-    two values at that length (:func:`_parallel_values`): a class with one
-    reachable value holds no mean word there, and no longer layer is built.
+    :func:`abelian_suspects`, so a model with no suspect class is kind at
+    every length without a scan, and otherwise :func:`_scan` reads only
+    the suspect classes; the layer at ``max_len`` keeps only the classes
+    that reach two values there.  The witness, its values, the sad edges
+    and the count are those of the scan over every parallel class.  A
+    model with involution faults is refused with :class:`WordError`.
     """
     if max_len < 2:
         raise WordError("mean scan needs max_len >= 2")
     suspects = abelian_suspects(model)
-    if suspects is None:
-        return _scan(model, max_len, None, collect_all)
     if not suspects:
         return MeanScanResult(max_len)
-    return _scan(model, max_len, set(chain.from_iterable(suspects)), collect_all)
+    return _scan(model, max_len, suspects, collect_all)
 
 
 # -- the abelian certificate -----------------------------------------------------
 
 
-def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...] | None:
+def _parallel_classes(model: TruncatedModel) -> tuple[tuple[str, ...], ...]:
+    """The classes of two or more parallel edges, each sorted, in order."""
+    parallel: dict[tuple[str, str], list[str]] = {}
+    for name, e in model.edges.items():
+        parallel.setdefault((e.src, e.tgt), []).append(name)
+    return tuple(sorted(tuple(sorted(c)) for c in parallel.values() if len(c) > 1))
+
+
+def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...]:
     """The classes of two or more parallel edges with one abelian image.
 
     Let A be the abelian group on the edges modulo f + g = h for each
@@ -394,11 +387,11 @@ def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...] | Non
     2x per self-inverse loop x; only edges with a parallel partner are
     reduced, and every row is re-checked against the basis.
 
-    A model with involution faults gets None: its words can have values
-    that are not parallel.
+    A model with involution faults is refused with :class:`WordError`:
+    there a degenerate product f·f~, the identity at the source of f, need
+    not end where f~ does, so the values of a word need not be parallel.
     """
-    if model._involution_faults:
-        return None
+    _refuse_involution_faults(model)
     relations = set()
     closed = model.mode == SYMMETRIC
     if closed:
@@ -429,18 +422,13 @@ def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...] | Non
     for rel in relations:
         if _reduce(basis, rel):
             raise AssertionError(f"relation {rel} fails its re-check against the basis")
-    parallel: dict[tuple[str, str], list[str]] = {}
-    for name, e in model.edges.items():
-        parallel.setdefault((e.src, e.tgt), []).append(name)
     classes = []
-    for names in parallel.values():
-        if len(names) < 2:
-            continue
+    for names in _parallel_classes(model):
         images: dict[tuple, list[str]] = {}
         for name in names:
             image = _reduce(basis, (coord[name],)) if name in coord else ()
             images.setdefault(image, []).append(name)
-        classes += [tuple(sorted(c)) for c in images.values() if len(c) > 1]
+        classes += [tuple(c) for c in images.values() if len(c) > 1]
     return tuple(sorted(classes))
 
 
@@ -657,13 +645,15 @@ def mountain(model: TruncatedModel, f: str, g: str,
     """The least word of length <= max_len with both f and g among its values.
 
     For f = g the degenerate word (id, f) does the job.  Otherwise such a
-    word is a mean word whose values include f and g, so the bounded scan
-    of :func:`mean_scan` among {f, g} decides: the witness is the shortest
-    such word, first in :func:`word_sort_key` order, re-checked with
+    word is a mean word whose values include f and g, so :func:`_scan`
+    with the one class (f, g) decides: the witness is the shortest such
+    word, first in :func:`word_sort_key` order, re-checked with
     :func:`values`, and an absent verdict is exhaustive at the bound.
-    Layer ``max_len`` keeps only the value sets of f and g, and only when
-    both are reachable there.
+    Layer ``max_len`` keeps the value sets of f and g only when both are
+    reachable there.  A model with involution faults is refused with
+    :class:`WordError`, as in :func:`mean_scan`.
     """
+    _refuse_involution_faults(model)
     ef, eg = model.edge(f), model.edge(g)
     if (ef.src, ef.tgt) != (eg.src, eg.tgt):
         raise WordError("mountain needs parallel edges")
@@ -671,7 +661,7 @@ def mountain(model: TruncatedModel, f: str, g: str,
         raise WordError("mountain search needs max_len >= 2")
     if f == g:
         return (identity_name(ef.src), f)
-    return _scan(model, max_len, {f, g}).witness
+    return _scan(model, max_len, ((f, g),)).witness
 
 
 # -- presentation of the fundamental groupoid ----------------------------------

@@ -292,7 +292,7 @@ def test_acceptance_13_orthogonality_z3_nerve_at_hexagons():
 
 
 def test_acceptance_14_a_square_kind_at_length_ten(monkeypatch):
-    from pgroupoid.words import ValueTable, _scan
+    from pgroupoid.words import ValueTable, _parallel_classes, _scan
 
     sizes = {}
     build = ValueTable.layer
@@ -306,10 +306,10 @@ def test_acceptance_14_a_square_kind_at_length_ten(monkeypatch):
     t0 = time.perf_counter()
     with monkeypatch.context() as patch:
         patch.setattr(ValueTable, "layer", recording_layer)
-        assert _scan(a_square, 10, None).is_kind
+        assert _scan(a_square, 10, _parallel_classes(a_square)).is_kind
     # no two edges of a_square (identities included) are parallel, so no
-    # word can have two values and the scan over every value joins no word;
-    # mean_scan has no suspect class to scan at all
+    # word can have two values and the scan over every parallel class joins
+    # no word; mean_scan has no suspect class to scan at all
     ends = [(e.src, e.tgt) for e in map(a_square.edge, a_square.edges)]
     assert len(set(ends)) == len(ends)
     assert sizes == {L: 0 for L in range(2, 11)}

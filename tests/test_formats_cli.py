@@ -213,6 +213,14 @@ def test_cat_round_trip():
         emit_cat(pg.FiniteCategory(["a b"], [], {}))
 
 
+def test_emit_cat_refuses_names_with_a_trailing_newline():
+    with pytest.raises(FormatError, match=r"object 'a\\n'"):
+        emit_cat(pg.FiniteCategory(["a\n"], [], {}))
+    loop = pg.FiniteCategory(["o"], [("f\n", "o", "o")], {("f\n", "f\n"): "1@o"})
+    with pytest.raises(FormatError, match=r"morphism 'f\\n'"):
+        emit_cat(loop)
+
+
 def test_cat_parse_errors():
     with pytest.raises(FormatError):
         parse_cat("objects a\n")

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgroupoid as pg
-from pgroupoid.words import ValueTable, _scan, word_sort_key
+from pgroupoid.words import ValueTable, _parallel_classes, _scan, word_sort_key
 
 from helpers import (
     FullScan,
@@ -354,18 +353,15 @@ def _scan_layers(monkeypatch, scan):
     return seen
 
 
-def _parallel_reached(model, index, among):
-    """The values of ``index`` in ``among`` (None: all) that share both ends
-    with another such value."""
-    reached = [v for v in index if among is None or v in among]
-    ends = {v: (model.edge(v).src, model.edge(v).tgt) for v in reached}
-    counts = Counter(ends.values())
-    return {v for v in reached if counts[ends[v]] > 1}
+def _class_values_reached(index, classes):
+    """The values of ``index`` in the classes that hold two or more of them."""
+    reached = [set(index).intersection(c) for c in classes]
+    return set().union(*(hit for hit in reached if len(hit) > 1))
 
 
-def _seeded_edges(model, among):
+def _seeded_edges(model, classes):
     """The edges whose connected component, found by a walk over both edge
-    directions, holds two parallel edges of ``among`` (None: all)."""
+    directions, holds one of the ``classes``."""
     neighbours = {o: set() for o in model.objects}
     for e in model.edges.values():
         neighbours[e.src].add(e.tgt)
@@ -378,8 +374,7 @@ def _seeded_edges(model, among):
             if o not in component:
                 component[o] = start
                 stack.extend(neighbours[o])
-    live = {component[model.edge(v).src]
-            for v in _parallel_reached(model, model.edges, among)}
+    live = {component[model.edge(c[0]).src] for c in classes}
     return {name for name, e in model.edges.items() if component[e.src] in live}
 
 
@@ -416,28 +411,29 @@ def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, mode
     full_table = ValueTable(model)
     full_table.layer(max(SCAN_BOUNDS))
     pairs = _parallel_pairs(model)[:3]
+    every = _parallel_classes(model)
     for bound in SCAN_BOUNDS:
-        # the scan over every value, which mean_scan skips or narrows
-        scans = [(None, lambda: _scan(model, bound, None, collect_all=True))]
-        scans += [({f, g}, lambda f=f, g=g: pg.mountain(model, f, g, bound))
+        # the scan over every parallel class, which mean_scan skips or narrows
+        scans = [(every, lambda: _scan(model, bound, every, collect_all=True))]
+        scans += [(((f, g),), lambda f=f, g=g: pg.mountain(model, f, g, bound))
                   for f, g in pairs]
-        for among, scan in scans:
+        for classes, scan in scans:
             seen = _scan_layers(monkeypatch, scan)
             if seen[-1][0] < bound:
                 # a scan stops early only on exhaustion (mountain also on a find)
-                assert seen[-1][2] or among is not None
-            seeded = _seeded_edges(model, among)
+                assert seen[-1][2] or classes is not every
+            seeded = _seeded_edges(model, classes)
             for length, index, exhausted in seen:
                 full_index = full_table.by_value[length]
                 assert exhausted == full[length - 2][2]
                 if length < bound:
                     assert index.keys() == full_index.keys()
-                # every set is complete in a component where ``among`` holds
-                # two parallel edges and empty elsewhere, and the sets hold
-                # every parallel value reached at that length
+                # every set is complete in a component that holds a class
+                # and empty elsewhere, and the sets hold the values of every
+                # class that reaches two values at that length
                 assert all(index[v] == (full_index[v] if v in seeded else set())
                            for v in index)
-                assert _parallel_reached(model, full_index, among) <= index.keys()
+                assert _class_values_reached(full_index, classes) <= index.keys()
 
 
 def test_exhaustion_closes_on_the_last_layer():
@@ -447,11 +443,11 @@ def test_exhaustion_closes_on_the_last_layer():
         full = _full_exhaustion(model, 7)
         assert [size > 0 for _, size, _ in full] == [True, True] + [False] * 4
         assert [e for _, _, e in full] == [False] * 5 + [True]
-        table = ValueTable(model, 7, set())
+        table = ValueTable(model, 7, ())
         table.layer(7)
         assert table.exhausted_at(7) and not table.by_value[7]
     # a layer at the bound that keeps nothing is not an empty layer
-    table = ValueTable(load("a_square.pgd"), 7, set())
+    table = ValueTable(load("a_square.pgd"), 7, ())
     assert not table.layer(7) and not table.exhausted_at(7)
     with pytest.raises(pg.WordError):
         table.layer(8)
@@ -463,34 +459,53 @@ def test_exhaustion_closes_on_the_last_layer():
 def test_models_without_parallel_edges_build_no_word(monkeypatch, model):
     assert not _parallel_pairs(model)
     for bound in (2, 5, 8):
-        seen = _scan_layers(monkeypatch, lambda: _scan(model, bound, None, collect_all=True))
+        seen = _scan_layers(monkeypatch, lambda: _scan(model, bound, _parallel_classes(model),
+                                                       collect_all=True))
         assert [length for length, _, _ in seen] == list(range(2, bound + 1))
         assert not any(words for _, index, _ in seen for words in index.values())
 
 
-def test_layer_at_the_bound_keeps_parallel_values_among():
+def _layer_at_the_bound(model, bound, classes):
+    table = ValueTable(model, bound, classes)
+    table.layer(bound)
+    return table.by_value[bound]
+
+
+def test_layer_at_the_bound_keeps_the_classes_that_reach_two_values():
     na = load("na_square.pgd")
     full = ValueTable(na)
     full.layer(3)
-    for among, kept in ((None, {"lT", "lT'", "lT^", "lT'^"}),
-                        ({"lT", "lT'"}, {"lT", "lT'"}),
-                        ({"lT"}, set())):
-        table = ValueTable(na, 3, among)
-        table.layer(3)
-        assert table.by_value[3] == {v: full.by_value[3][v] for v in kept}
+    for classes, kept in ((_parallel_classes(na), {"lT", "lT'", "lT^", "lT'^"}),
+                          ((("lT", "lT'"),), {"lT", "lT'"}),
+                          ((), set())):
+        assert _layer_at_the_bound(na, 3, classes) == {v: full.by_value[3][v] for v in kept}
+    # f, g and h are the products of three spines from 0 to 2 and k is no
+    # product, so at length 2 the class (h, k) reaches one value: only the
+    # sets of (f, g) are kept, although h is parallel to f and g
+    spines = pg.TruncatedModel.simplicial(
+        ["0", "1", "2", "3", "4"],
+        [("a", "0", "1"), ("b", "1", "2"), ("c", "0", "3"), ("d", "3", "2"),
+         ("p", "0", "4"), ("q", "4", "2")] + [(e, "0", "2") for e in "fghk"],
+        [("a", "b", "f"), ("c", "d", "g"), ("p", "q", "h")])
+    full = ValueTable(spines)
+    full.layer(2)
+    for classes, kept in (((("f", "g"), ("h", "k")), "fg"),
+                          ((("h", "k"),), ""),
+                          (_parallel_classes(spines), "fgh")):
+        assert _layer_at_the_bound(spines, 2, classes) == {v: full.by_value[2][v] for v in kept}
 
 
 # -- the abelian certificate -----------------------------------------------------------
 
 
 def _check_guided_scan(model, bound=6):
-    """mean_scan, which scans only the suspect edges, gives the scan over
-    every value in both modes; a model with no suspect class is kind, and
-    the classes are those of the dense abelian oracle."""
+    """mean_scan, which scans only the suspect classes, gives the scan over
+    every parallel class in both modes; a model with no suspect class is
+    kind, and the classes are those of the dense abelian oracle."""
     suspects = pg.abelian_suspects(model)
     assert suspects == brute_abelian_classes(model)
     for collect_all in (False, True):
-        plain = _scan(model, bound, None, collect_all)
+        plain = _scan(model, bound, _parallel_classes(model), collect_all)
         assert pg.mean_scan(model, bound, collect_all=collect_all) == plain
         assert plain.is_kind or suspects
         assert set(plain.sad_edges) <= set().union(*suspects)
@@ -554,27 +569,27 @@ def test_abelian_suspects_on_the_fixtures():
     assert pg.abelian_suspects(load("example2.pgd")) == (("f", "g"),)
 
 
-def test_involution_faults_get_the_plain_scan():
-    # x's partner y is its own partner, so the table is not orbit-closed and
-    # the word (x, x, x) has the values x and z
-    edges = [pg.Edge("1@o", "o", "o", inv="1@o", is_identity=True),
-             pg.Edge("x", "o", "o", inv="y"), pg.Edge("y", "o", "o", inv="y"),
-             pg.Edge("z", "o", "o", inv="z")]
-    model = pg.TruncatedModel("symmetric", ["o"], edges,
-                              [("x", "x", "y"), ("y", "x", "z"), ("x", "y", "x")])
+def test_involution_faults_are_refused():
+    # e0 and e1 both name e2 as their partner, whose partner is e0, so the
+    # degenerate product e1·e2 is 1@a, which does not end where e2 does, and
+    # (e0, e1, e2) has the values e0 and e2, which are not parallel
+    edges = [pg.Edge(f"1@{o}", o, o, inv=f"1@{o}", is_identity=True) for o in "abc"]
+    edges += [pg.Edge("e0", "c", "a", inv="e2"), pg.Edge("e1", "a", "c", inv="e2"),
+              pg.Edge("e2", "c", "b", inv="e0")]
+    model = pg.TruncatedModel("symmetric", ["a", "b", "c"], edges, [("e0", "e1", "1@c")])
     assert not model.validate().ok
-    assert pg.abelian_suspects(model) is None
-    for collect_all in (False, True):
-        scan = pg.mean_scan(model, 4, collect_all=collect_all)
-        assert scan == _scan(model, 4, None, collect_all)
-        assert scan.witness == ("x", "x", "x") and scan.witness_values == ("x", "z")
+    assert pg.values(model, ("e0", "e1", "e2")) == {"e0", "e2"}
+    for call in (lambda: pg.abelian_suspects(model), lambda: pg.mean_scan(model, 3),
+                 lambda: pg.mountain(model, "e0", "e0", 3)):
+        with pytest.raises(pg.WordError, match="involution"):
+            call()
 
 
 def test_dropping_a_suspect_class_loses_a_planted_witness(monkeypatch):
     planted = model_union(pg.nerve_truncation(pg.cyclic_group(3)), load("na_square.pgd"))
     suspects = pg.abelian_suspects(planted)
     assert suspects == (("RlT", "RlT'"), ("RlT'^", "RlT^"))
-    plain = _scan(planted, 4, None)
+    plain = _scan(planted, 4, _parallel_classes(planted))
     assert pg.mean_scan(planted, 4) == plain
     assert plain.witness == ("Rs1", "Rs2", "Rs3")
     monkeypatch.setattr(pg.words, "abelian_suspects", lambda model: suspects[1:])
