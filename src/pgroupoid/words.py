@@ -154,19 +154,22 @@ class ValueTable:
     With a ``bound``, layer ``bound`` is the last one the table builds,
     and ``classes`` names what it is built for: each class is two or more
     parallel edges that may be two values of one word, and a word with two
-    values has all of them in one class.  The layer at the bound keeps the
-    sets of the values of each class that reaches two or more values at
-    that length; a class with one reachable value holds no such word
-    there.  No layer is ever joined from it, so every lower layer stays
-    complete, and exhaustion is still exact: the layer is empty exactly
-    when it has no productive split, whatever it drops.
+    values has all of them in one class.  So a bounded table builds each
+    layer class-first: the top layer holds only the kept sets, those of
+    the values of each class that reaches two or more values at that
+    length (a class with one reachable value holds no such word there),
+    and the rest of the layer is filled when a longer layer is built, the
+    layer at the bound never.  Every layer below the top is complete, so
+    every longer layer is exact, and exhaustion is exact too: a layer is
+    empty exactly when it has no productive split, whatever it defers.
 
     For the same reason a bounded table seeds only the letters of the
     connected components that hold a class: a word lies in one component,
     with all of its values.  Every other letter starts from an empty set,
-    so every set built in its component is empty.  The keys, the values
-    some word of each length has, are still exact, and so are emptiness
-    and exhaustion; a table with no class joins no word.
+    so every set built in its component is empty.  The keys of a complete
+    layer, the values some word of each length has, are still exact, and
+    so are emptiness and exhaustion; a table with no class joins no word.
+    An unbounded table builds every layer whole.
     """
 
     def __init__(self, model: TruncatedModel, bound: int | None = None,
@@ -179,12 +182,19 @@ class ValueTable:
         live = set(self.letters) if bound is None else _live_edges(model, classes)
         self.by_value = [{}, {e: {i} if e in live else set()
                               for i, e in enumerate(self.letters)}]
+        self._rest = []  # the deferred jobs of the top layer
+        # a product starts where its left factor does, so only the jobs of
+        # a v1 that starts where a class does can fill a kept set
+        starts = {model.edge(c[0]).src for c in classes}
+        self._near = {name for name, e in model.edges.items() if e.src in starts}
         self._exhausted = False
 
     def layer(self, length: int) -> set[int]:
         """The packed valued words of one length, building lower layers first.
 
-        A bounded table holds only the words of its seeded components.
+        A bounded table holds only the words of its seeded components, and
+        its top layer only those of the kept sets until a longer layer is
+        built.
         """
         if self.bound is not None and length > self.bound:
             raise WordError(f"layer {length} lies beyond the table's bound {self.bound}")
@@ -200,42 +210,60 @@ class ValueTable:
     def _build_next(self):
         """Layer L: for each split k and product v1·v2 = h, every word of
         length k and value v1 followed by one of length L-k and value v2
-        has value h.  The jobs are listed first, per (k, v1) as pairs of h
-        and the v2 words; a job always makes the set of h, so the list
-        decides emptiness before the bound drops the jobs of values it does
-        not keep.  After exhaustion every split meets an empty layer."""
+        has value h.  The deferred jobs of the layer below run first.  The
+        jobs are listed next, per (k, v1) as the v1 words, their shift and
+        pairs of h and the v2 words, the jobs of a v1 that starts where a
+        class does apart; a job always makes the set of h, so the list
+        decides emptiness before a bounded table fills only the kept sets
+        and defers the rest.  After exhaustion every split meets an empty
+        layer."""
+        _join(self.by_value[-1], self._rest)
         size = len(self.by_value)
-        jobs = []
+        far, near = [], []
         for k in range(1, size):
             right = self.by_value[size - k]
-            for v1 in self.by_value[k]:
+            shift = self.bits * (size - k)
+            for v1, left in self.by_value[k].items():
                 pairs = [(h, right[v2]) for v2, h in self.model.products_from(v1).items()
                          if v2 in right]
                 if pairs:
-                    jobs.append((k, v1, pairs))
-        if not jobs and not any(self.by_value[(size + 1) // 2:]):
+                    (near if v1 in self._near else far).append((left, shift, pairs))
+        if not far and not near and not any(self.by_value[(size + 1) // 2:]):
             self._exhausted = True
-        if size == self.bound:
-            reached = {h for _, _, pairs in jobs for h, _ in pairs}
-            kept = set()
-            for c in self.classes:
-                hit = reached.intersection(c)
-                if len(hit) > 1:
-                    kept |= hit
-            jobs = [(k, v1, [pair for pair in pairs if pair[0] in kept])
-                    for k, v1, pairs in jobs]
+        if self.bound is None:
+            now, self._rest = far + near, []
+        else:
+            now, self._rest = self._kept_first(near, far)
         acc: dict[str, set[int]] = {}
-        for k, v1, pairs in jobs:
-            if not pairs:
-                continue
-            shift = self.bits * (size - k)
-            shifted = [w << shift for w in self.by_value[k][v1]]
-            for h, words in pairs:
-                target = acc.get(h)
-                if target is None:
-                    target = acc[h] = set()
-                target.update(starmap(or_, product(shifted, words)))
+        _join(acc, now)
         self.by_value.append(acc)
+
+    def _kept_first(self, near, far):
+        """The jobs that fill the kept sets, the values of each class that
+        the ``near`` jobs reach twice or more, and the rest: every ``far``
+        job, which reaches no class, and every other pair.  Each job's v1
+        words are shifted once."""
+        reached = {h for _, _, pairs in near for h, _ in pairs}
+        kept = set()
+        for c in self.classes:
+            hit = reached.intersection(c)
+            if len(hit) > 1:
+                kept |= hit
+        if not kept:
+            return [], far + near
+        now, rest = [], far
+        for job in near:
+            left, shift, pairs = job
+            filled = [pair for pair in pairs if pair[0] in kept]
+            if not filled:
+                rest.append(job)
+                continue
+            left = [w << shift for w in left]
+            now.append((left, 0, filled))
+            later = [pair for pair in pairs if pair[0] not in kept]
+            if later:
+                rest.append((left, 0, later))
+        return now, rest
 
     def exhausted_at(self, length: int) -> bool:
         """True when every layer beyond ``length`` is known to be empty.
@@ -247,6 +275,20 @@ class ValueTable:
         empty.
         """
         return self._exhausted and not any(self.by_value[length + 1:])
+
+
+def _join(acc: dict[str, set[int]], jobs) -> None:
+    """Run jobs (left words, shift, pairs of h and right words) into the
+    value index ``acc``: each left word shifted by ``shift``, or'ed with
+    each right word, joins the set of h."""
+    for left, shift, pairs in jobs:
+        if shift:
+            left = [w << shift for w in left]
+        for h, words in pairs:
+            target = acc.get(h)
+            if target is None:
+                target = acc[h] = set()
+            target.update(starmap(or_, product(left, words)))
 
 
 def _live_edges(model: TruncatedModel, classes) -> set[str]:
@@ -301,20 +343,19 @@ def _scan(model: TruncatedModel, max_len: int, classes: tuple[tuple[str, ...], .
     ``classes``, layer by layer in one bounded :class:`ValueTable`.
 
     A word with two values has all of them in one class, so it lies in
-    two of the layer's value sets restricted to the union of the classes.
-    The witness is the least word of the first layer that has one, with
-    its values there, re-checked with :func:`values`; the scan stops there
-    unless ``collect_all``, and on exhaustion.
+    two of the kept sets of its layer, the only sets the table fills when
+    it builds the layer; the rest is filled only if a longer layer is
+    asked for.  The witness is the least word of the first layer that has
+    one, with its values there, re-checked with :func:`values`; the scan
+    stops there unless ``collect_all``, and on exhaustion.
     """
     witness, witness_values, count = None, (), 0
     sad: set[str] = set()
     among = set(chain.from_iterable(classes))
     table = ValueTable(model, max_len, classes)
     for length in range(2, max_len + 1):
-        table.layer(length)
+        layer = table.layer(length)
         index = table.by_value[length]
-        index = {v: index[v] for v in among if v in index}
-        layer = set().union(*index.values())
         # no word lies in two sets when their sizes add up to their union's
         if sum(map(len, index.values())) > len(layer):
             counts = Counter(chain.from_iterable(index.values()))
@@ -349,10 +390,11 @@ def mean_scan(model: TruncatedModel, max_len: int, *,
     All values of a mean word lie in one suspect class of
     :func:`abelian_suspects`, so a model with no suspect class is kind at
     every length without a scan, and otherwise :func:`_scan` reads only
-    the suspect classes; the layer at ``max_len`` keeps only the classes
-    that reach two values there.  The witness, its values, the sad edges
-    and the count are those of the scan over every parallel class.  A
-    model with involution faults is refused with :class:`WordError`.
+    the suspect classes that reach two values at each length, and fills
+    the rest of a layer only to build a longer one.  The witness, its
+    values, the sad edges and the count are those of the scan over every
+    parallel class.  A model with involution faults is refused with
+    :class:`WordError`.
     """
     if max_len < 2:
         raise WordError("mean scan needs max_len >= 2")
@@ -649,9 +691,10 @@ def mountain(model: TruncatedModel, f: str, g: str,
     with the one class (f, g) decides: the witness is the shortest such
     word, first in :func:`word_sort_key` order, re-checked with
     :func:`values`, and an absent verdict is exhaustive at the bound.
-    Layer ``max_len`` keeps the value sets of f and g only when both are
-    reachable there.  A model with involution faults is refused with
-    :class:`WordError`, as in :func:`mean_scan`.
+    Each layer fills the value sets of f and g first, and only when both
+    are reachable there; the rest of it waits for a longer layer.  A
+    model with involution faults is refused with :class:`WordError`, as
+    in :func:`mean_scan`.
     """
     _refuse_involution_faults(model)
     ef, eg = model.edge(f), model.edge(g)

@@ -95,9 +95,9 @@ class FullScan:
 
     An unbounded ``ValueTable`` (checked against contraction sequences in
     ``test_words``) builds every layer 2..max_len whole, the last one too,
-    and no exhaustion shortcut is taken.  The bounded scan, whose last
-    layer keeps only the value sets its reader can use, must give the same
-    answers at every bound up to ``max_len``.
+    and no exhaustion shortcut is taken.  The bounded scan, which fills
+    only the value sets its reader can use before it reads a layer, must
+    give the same answers at every bound up to ``max_len``.
     """
 
     def __init__(self, model, max_len):

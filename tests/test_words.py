@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -338,19 +339,21 @@ def test_bounded_scan_matches_full_layers_on_sub_nerves(which, seed, edge_p, tri
 
 
 def _scan_layers(monkeypatch, scan):
-    """(length, value index, exhausted_at) of every layer one scan fetches."""
-    seen = []
+    """(length, value index as the scan read it, exhausted_at) of every
+    layer one scan fetches, and the scan's table."""
+    seen, tables = [], []
     build = ValueTable.layer
 
     def recording_layer(table, length):
         out = build(table, length)
-        seen.append((length, table.by_value[length], table.exhausted_at(length)))
+        seen.append((length, dict(table.by_value[length]), table.exhausted_at(length)))
+        tables.append(table)
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(ValueTable, "layer", recording_layer)
         scan()
-    return seen
+    return seen, tables[-1]
 
 
 def _class_values_reached(index, classes):
@@ -418,7 +421,7 @@ def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, mode
         scans += [(((f, g),), lambda f=f, g=g: pg.mountain(model, f, g, bound))
                   for f, g in pairs]
         for classes, scan in scans:
-            seen = _scan_layers(monkeypatch, scan)
+            seen, table = _scan_layers(monkeypatch, scan)
             if seen[-1][0] < bound:
                 # a scan stops early only on exhaustion (mountain also on a find)
                 assert seen[-1][2] or classes is not every
@@ -426,14 +429,19 @@ def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, mode
             for length, index, exhausted in seen:
                 full_index = full_table.by_value[length]
                 assert exhausted == full[length - 2][2]
-                if length < bound:
-                    assert index.keys() == full_index.keys()
-                # every set is complete in a component that holds a class
-                # and empty elsewhere, and the sets hold the values of every
-                # class that reaches two values at that length
+                # the scan reads exactly the sets of the values of every
+                # class that reaches two values at that length, complete in
+                # a component that holds a class
+                assert index.keys() == _class_values_reached(full_index, classes)
                 assert all(index[v] == (full_index[v] if v in seeded else set())
                            for v in index)
-                assert _class_values_reached(full_index, classes) <= index.keys()
+            # every layer below the top is complete: every set is the full
+            # build's in a component that holds a class and empty elsewhere
+            for length in range(1, len(table.by_value) - 1):
+                index, full_index = table.by_value[length], full_table.by_value[length]
+                assert index.keys() == full_index.keys()
+                assert all(index[v] == (full_index[v] if v in seeded else set())
+                           for v in index)
 
 
 def test_exhaustion_closes_on_the_last_layer():
@@ -459,8 +467,8 @@ def test_exhaustion_closes_on_the_last_layer():
 def test_models_without_parallel_edges_build_no_word(monkeypatch, model):
     assert not _parallel_pairs(model)
     for bound in (2, 5, 8):
-        seen = _scan_layers(monkeypatch, lambda: _scan(model, bound, _parallel_classes(model),
-                                                       collect_all=True))
+        seen, _ = _scan_layers(monkeypatch, lambda: _scan(model, bound, _parallel_classes(model),
+                                                          collect_all=True))
         assert [length for length, _, _ in seen] == list(range(2, bound + 1))
         assert not any(words for _, index, _ in seen for words in index.values())
 
@@ -493,6 +501,52 @@ def test_layer_at_the_bound_keeps_the_classes_that_reach_two_values():
                           ((("h", "k"),), ""),
                           (_parallel_classes(spines), "fgh")):
         assert _layer_at_the_bound(spines, 2, classes) == {v: full.by_value[2][v] for v in kept}
+
+
+# -- deferred jobs ---------------------------------------------------------------------
+
+
+def _sampled_na_gluings(n, step):
+    """Every ``step``-th NA gluing at n, with the length of its least mean
+    word read off full layers, or None when that is longer than 5."""
+    tris = pg.enumerate_triangulations(n)
+    pairs = [(t, t2) for t in tris for t2 in tris if pg.pair_classify(t, t2) != pg.INCOMPATIBLE]
+    for t, t2 in pairs[::step]:
+        model = pg.build_glued(t, t2).model
+        witness = FullScan(model, 5).mean_scan(5)[0]
+        yield model, witness and len(witness)
+
+
+def test_deferred_jobs_complete_the_layers_of_na_gluings():
+    # A scan reads a layer before the jobs it deferred there have run, and
+    # runs them only to build a longer layer: collect_all does past the
+    # least mean word, and so does mountain on a pair with no word yet.
+    # Bounds stop at 6: a full layer 7 of a hexagon gluing holds up to
+    # 240,000 words.
+    lengths = Counter()
+    for n, step in ((5, 3), (6, 10)):
+        for model, length in _sampled_na_gluings(n, step):
+            if length:
+                _check_scan_against_full_layers(model, range(length + 1, 7))
+                lengths[n, length] += 1
+    assert sorted(lengths) == [(n, length) for n in (5, 6) for length in (3, 4, 5)]
+
+
+PLANTED_GLUINGS = [(model, length) for n, step in ((4, 1), (5, 3), (6, 20))
+                   for model, length in _sampled_na_gluings(n, step) if length]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(range(len(SUB_NERVE_GROUPOIDS))), st.integers(0, 2**32),
+       st.floats(0.55, 0.8), st.floats(0.3, 0.5), st.sampled_from(PLANTED_GLUINGS))
+def test_deferred_jobs_complete_the_layers_of_planted_unions(which, seed, edge_p, tri_p,
+                                                              planted):
+    # a kind sub-nerve beside an NA gluing, whose least mean word fixes
+    # where a scan that is not collect_all stops
+    gluing, length = planted
+    kind = sub_nerve(pg.nerve_truncation(SUB_NERVE_GROUPOIDS[which]),
+                     random.Random(seed), edge_p, tri_p)
+    _check_scan_against_full_layers(model_union(kind, gluing), range(length + 1, 7))
 
 
 # -- the abelian certificate -----------------------------------------------------------
