@@ -194,7 +194,9 @@ class ValueTable:
 
         A bounded table holds only the words of its seeded components, and
         its top layer only those of the kept sets until a longer layer is
-        built.
+        built, so the same call can return more words later.  Only
+        :func:`_scan`, which reads the kept sets, may rely on a bounded
+        table's top layer.
         """
         if self.bound is not None and length > self.bound:
             raise WordError(f"layer {length} lies beyond the table's bound {self.bound}")
@@ -249,8 +251,6 @@ class ValueTable:
             hit = reached.intersection(c)
             if len(hit) > 1:
                 kept |= hit
-        if not kept:
-            return [], far + near
         now, rest = [], far
         for job in near:
             left, shift, pairs = job

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -277,13 +276,29 @@ def _fixture_models():
     yield "pair(3) nerve", pg.nerve_truncation(pg.pair_groupoid(["a", "b", "c"]))
 
 
-def _na_gluings(max_n):
+def _na_gluings(max_n, min_n=3, step=1):
+    """Every ``step``-th NA gluing at each n from ``min_n`` to ``max_n``."""
+    for n in range(min_n, max_n + 1):
+        tris = pg.enumerate_triangulations(n)
+        pairs = [(i, j) for i, t in enumerate(tris) for j, t2 in enumerate(tris)
+                 if pg.pair_classify(t, t2) != pg.INCOMPATIBLE]
+        for i, j in pairs[::step]:
+            yield f"NA({n}; {i}, {j})", pg.build_glued(tris[i], tris[j]).model
+
+
+def _gluings(max_n):
     for n in range(3, max_n + 1):
         tris = pg.enumerate_triangulations(n)
-        for i, t in enumerate(tris):
-            for j, t2 in enumerate(tris):
-                if pg.pair_classify(t, t2) != pg.INCOMPATIBLE:
-                    yield f"NA({n}; {i}, {j})", pg.build_glued(t, t2).model
+        for t in tris:
+            for t2 in tris:
+                kind = pg.pair_classify(t, t2)
+                if kind != pg.INCOMPATIBLE:
+                    yield pg.build_glued(t, t2).model
+                if kind == pg.WELL_BEHAVED:
+                    yield pg.build_glued(t, t2, variant="a").model
+
+
+NA_GLUINGS = list(_gluings(4))
 
 
 def _parallel_pairs(model):
@@ -318,24 +333,33 @@ def test_bounded_scan_matches_full_layers_on_fixtures(name, model):
 
 
 def test_bounded_scan_matches_full_layers_on_na_gluings():
-    # the 108 hexagon gluings stop at bound 6: a full layer 7 of one of them
-    # holds up to 240,000 words, and building them all would take most of a
-    # minute; the other inputs still reach bound 7
+    # the 108 gluings at n = 5 and every 20th of the 930 at n = 6 stop at
+    # bound 6: a full layer 7 of one of them holds up to 240,000 words, and
+    # building them all would take most of a minute; the other inputs still
+    # reach bound 7
+    sampled = list(_na_gluings(6, min_n=6, step=20))
     found = {name: _check_scan_against_full_layers(
         model, SCAN_BOUNDS if name.startswith(("NA(3;", "NA(4;")) else range(2, 7))
-        for name, model in _na_gluings(5)}
-    assert len(found) == 124
+        for name, model in list(_na_gluings(5)) + sampled}
+    assert len(found) == 124 + 47
     # every NA gluing is mean at its spine length, which is one of the bounds
     assert all(found.values())
+    # a scan runs the jobs it deferred at a layer only to build a longer
+    # one, as collect_all and the bounds above the least mean word do, so
+    # the samples are mean below 6 too
+    assert {len(pg.mean_scan(model, 6).witness) for _, model in sampled} == {3, 4, 5, 6}
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(range(len(SUB_NERVE_GROUPOIDS))), st.integers(0, 2**32),
-       st.floats(0.5, 1.0), st.floats(0.5, 1.0))
-def test_bounded_scan_matches_full_layers_on_sub_nerves(which, seed, edge_p, tri_p):
+       st.floats(0.5, 1.0), st.floats(0.5, 1.0), st.sampled_from(NA_GLUINGS))
+def test_bounded_scan_matches_full_layers_on_sub_nerves(which, seed, edge_p, tri_p, gluing):
     nerve = pg.nerve_truncation(SUB_NERVE_GROUPOIDS[which])
     model = sub_nerve(nerve, random.Random(seed), edge_p, tri_p)
     _check_scan_against_full_layers(model)
+    # beside a gluing, whose mean words lie below most bounds: the scans
+    # read layers past them, built after the deferred jobs below have run
+    _check_scan_against_full_layers(model_union(model, gluing))
 
 
 def _scan_layers(monkeypatch, scan):
@@ -466,11 +490,19 @@ def test_exhaustion_closes_on_the_last_layer():
                          ids=["a_square", "horn symmetrized", "pair(3) nerve"])
 def test_models_without_parallel_edges_build_no_word(monkeypatch, model):
     assert not _parallel_pairs(model)
+    full = ValueTable(model)
     for bound in (2, 5, 8):
-        seen, _ = _scan_layers(monkeypatch, lambda: _scan(model, bound, _parallel_classes(model),
-                                                          collect_all=True))
+        seen, table = _scan_layers(monkeypatch, lambda: _scan(model, bound, _parallel_classes(model),
+                                                              collect_all=True))
         assert [length for length, _, _ in seen] == list(range(2, bound + 1))
-        assert not any(words for _, index, _ in seen for words in index.values())
+        # the scan keeps no set, so its top layer is empty and every layer
+        # below, whose deferred jobs have run, has the full build's keys
+        # and only empty sets
+        full.layer(bound)
+        assert not table.by_value[-1]
+        for length in range(1, bound):
+            assert table.by_value[length].keys() == full.by_value[length].keys()
+            assert not any(table.by_value[length].values())
 
 
 def _layer_at_the_bound(model, bound, classes):
@@ -503,52 +535,6 @@ def test_layer_at_the_bound_keeps_the_classes_that_reach_two_values():
         assert _layer_at_the_bound(spines, 2, classes) == {v: full.by_value[2][v] for v in kept}
 
 
-# -- deferred jobs ---------------------------------------------------------------------
-
-
-def _sampled_na_gluings(n, step):
-    """Every ``step``-th NA gluing at n, with the length of its least mean
-    word read off full layers, or None when that is longer than 5."""
-    tris = pg.enumerate_triangulations(n)
-    pairs = [(t, t2) for t in tris for t2 in tris if pg.pair_classify(t, t2) != pg.INCOMPATIBLE]
-    for t, t2 in pairs[::step]:
-        model = pg.build_glued(t, t2).model
-        witness = FullScan(model, 5).mean_scan(5)[0]
-        yield model, witness and len(witness)
-
-
-def test_deferred_jobs_complete_the_layers_of_na_gluings():
-    # A scan reads a layer before the jobs it deferred there have run, and
-    # runs them only to build a longer layer: collect_all does past the
-    # least mean word, and so does mountain on a pair with no word yet.
-    # Bounds stop at 6: a full layer 7 of a hexagon gluing holds up to
-    # 240,000 words.
-    lengths = Counter()
-    for n, step in ((5, 3), (6, 10)):
-        for model, length in _sampled_na_gluings(n, step):
-            if length:
-                _check_scan_against_full_layers(model, range(length + 1, 7))
-                lengths[n, length] += 1
-    assert sorted(lengths) == [(n, length) for n in (5, 6) for length in (3, 4, 5)]
-
-
-PLANTED_GLUINGS = [(model, length) for n, step in ((4, 1), (5, 3), (6, 20))
-                   for model, length in _sampled_na_gluings(n, step) if length]
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(range(len(SUB_NERVE_GROUPOIDS))), st.integers(0, 2**32),
-       st.floats(0.55, 0.8), st.floats(0.3, 0.5), st.sampled_from(PLANTED_GLUINGS))
-def test_deferred_jobs_complete_the_layers_of_planted_unions(which, seed, edge_p, tri_p,
-                                                              planted):
-    # a kind sub-nerve beside an NA gluing, whose least mean word fixes
-    # where a scan that is not collect_all stops
-    gluing, length = planted
-    kind = sub_nerve(pg.nerve_truncation(SUB_NERVE_GROUPOIDS[which]),
-                     random.Random(seed), edge_p, tri_p)
-    _check_scan_against_full_layers(model_union(kind, gluing), range(length + 1, 7))
-
-
 # -- the abelian certificate -----------------------------------------------------------
 
 
@@ -563,18 +549,6 @@ def _check_guided_scan(model, bound=6):
         assert pg.mean_scan(model, bound, collect_all=collect_all) == plain
         assert plain.is_kind or suspects
         assert set(plain.sad_edges) <= set().union(*suspects)
-
-
-def _gluings(max_n):
-    for n in range(3, max_n + 1):
-        tris = pg.enumerate_triangulations(n)
-        for t in tris:
-            for t2 in tris:
-                kind = pg.pair_classify(t, t2)
-                if kind != pg.INCOMPATIBLE:
-                    yield pg.build_glued(t, t2).model
-                if kind == pg.WELL_BEHAVED:
-                    yield pg.build_glued(t, t2, variant="a").model
 
 
 def test_guided_scan_matches_the_plain_scan_on_gluings():
@@ -598,7 +572,6 @@ def test_guided_scan_matches_the_plain_scan_on_fixtures_and_nerves():
 
 # S3 is the one nonabelian group here: only its sub-nerves have suspect classes
 CERTIFIED_GROUPOIDS = SUB_NERVE_GROUPOIDS + (symmetric_group_3(),)
-NA_GLUINGS = list(_gluings(4))
 
 
 @settings(max_examples=60, deadline=None)
