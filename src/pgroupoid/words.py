@@ -137,158 +137,125 @@ def is_mean(model: TruncatedModel, word) -> bool:
 
 
 class ValueTable:
-    """All words with at least one value, layered by length.
-
-    Words whose value set is empty can never witness meanness, so the scan
-    below only ever generates valued words: layer L is built from
-    productive splits of lower layers.  Once a dyadic window of layers is
-    empty every later layer is empty too, which lets bounded scans finish
-    early on models whose composable chains are short.
+    """The valued words of each length up to ``bound``, read class by class.
 
     Letters are the nonidentity edges (an identity letter never changes a
-    value set).  A word is packed into one int, ``bits`` bits per letter
-    index with the first letter highest, and a layer is kept only as its
-    value index ``by_value[L]``: value -> set of packed words.  A word with
-    several values sits in several sets.
+    value set), and a word is packed into one int, ``bits`` bits per
+    letter index with the first letter highest.  ``keys[L]``, built for
+    every length up to the one asked, holds the values that some word of
+    length L has, in every component: v1·v2 for a key v1 at some k < L and
+    a key v2 at L - k, degenerate products included.  The keys alone
+    decide emptiness, exhaustion and which values of a class a length
+    reaches.  ``sets[L]`` maps a value h to its packed words, built only
+    when asked for and then kept: for each such factorization of h, the
+    words of v1 followed by those of v2.
 
-    With a ``bound``, layer ``bound`` is the last one the table builds,
-    and ``classes`` names what it is built for: each class is two or more
-    parallel edges that may be two values of one word, and a word with two
-    values has all of them in one class.  So a bounded table builds each
-    layer class-first: the top layer holds only the kept sets, those of
-    the values of each class that reaches two or more values at that
-    length (a class with one reachable value holds no such word there),
-    and the rest of the layer is filled when a longer layer is built, the
-    layer at the bound never.  Every layer below the top is complete, so
-    every longer layer is exact, and exhaustion is exact too: a layer is
-    empty exactly when it has no productive split, whatever it defers.
-
-    For the same reason a bounded table seeds only the letters of the
-    connected components that hold a class: a word lies in one component,
-    with all of its values.  Every other letter starts from an empty set,
-    so every set built in its component is empty.  The keys of a complete
-    layer, the values some word of each length has, are still exact, and
-    so are emptiness and exhaustion; a table with no class joins no word.
-    An unbounded table builds every layer whole.
+    Each of the ``classes`` is two or more parallel edges that may be two
+    values of one word, and a word with two values has all of them in one
+    class, so :meth:`layer` builds at each length only the sets of the
+    values of each class that reaches two or more values there, and the
+    sets they are built from.  A word lies in one connected component with
+    all of its values, so only the letters of the components that hold a
+    class are seeded; a table with no class joins no word.
     """
 
-    def __init__(self, model: TruncatedModel, bound: int | None = None,
+    def __init__(self, model: TruncatedModel, bound: int,
                  classes: tuple[tuple[str, ...], ...] = ()):
         self.model = model
         self.bound = bound
         self.classes = classes
         self.letters = model.nonidentity_edges()
         self.bits = max(1, (len(self.letters) - 1).bit_length())
-        live = set(self.letters) if bound is None else _live_edges(model, classes)
-        self.by_value = [{}, {e: {i} if e in live else set()
-                              for i, e in enumerate(self.letters)}]
-        self._rest = []  # the deferred jobs of the top layer
-        # a product starts where its left factor does, so only the jobs of
-        # a v1 that starts where a class does can fill a kept set
-        starts = {model.edge(c[0]).src for c in classes}
-        self._near = {name for name, e in model.edges.items() if e.src in starts}
+        live = _live_edges(model, classes)
+        self.keys = [set(), set(self.letters)]
+        self.sets = [{}, {e: {i} if e in live else set()
+                          for i, e in enumerate(self.letters)}]
+        self._to: dict[str, list[tuple[str, str]]] = {}
+        for v1 in live:
+            for v2, h in model.products_from(v1).items():
+                self._to.setdefault(h, []).append((v1, v2))
         self._exhausted = False
 
     def layer(self, length: int) -> set[int]:
-        """The packed valued words of one length, building lower layers first.
-
-        A bounded table holds only the words of its seeded components, and
-        its top layer only those of the kept sets until a longer layer is
-        built, so the same call can return more words later.  Only
-        :func:`_scan`, which reads the kept sets, may rely on a bounded
-        table's top layer.
-        """
-        if self.bound is not None and length > self.bound:
+        """The words of the sets of :meth:`kept` at ``length``, built first
+        with the keys of every length up to it."""
+        if length > self.bound:
             raise WordError(f"layer {length} lies beyond the table's bound {self.bound}")
-        while len(self.by_value) <= length:
-            self._build_next()
-        return set().union(*self.by_value[length].values())
+        while len(self.keys) <= length:
+            self._key_next()
+        kept = self.kept(length)
+        self._fill(length, kept)
+        return set().union(*(self.sets[length][v] for v in kept))
+
+    def kept(self, length: int) -> set[str]:
+        """The values of each class that reaches two or more of them at
+        ``length``, once its keys are built."""
+        out = set()
+        for c in self.classes:
+            hit = self.keys[length].intersection(c)
+            if len(hit) > 1:
+                out |= hit
+        return out
 
     def decode(self, word: int, length: int) -> tuple[str, ...]:
         mask = (1 << self.bits) - 1
         return tuple(self.letters[(word >> self.bits * i) & mask]
                      for i in reversed(range(length)))
 
-    def _build_next(self):
-        """Layer L: for each split k and product v1·v2 = h, every word of
-        length k and value v1 followed by one of length L-k and value v2
-        has value h.  The deferred jobs of the layer below run first.  The
-        jobs are listed next, per (k, v1) as the v1 words, their shift and
-        pairs of h and the v2 words, the jobs of a v1 that starts where a
-        class does apart; a job always makes the set of h, so the list
-        decides emptiness before a bounded table fills only the kept sets
-        and defers the rest.  After exhaustion every split meets an empty
-        layer."""
-        _join(self.by_value[-1], self._rest)
-        size = len(self.by_value)
-        far, near = [], []
+    def _key_next(self):
+        """The keys of the next length.  Once a dyadic window of lengths has
+        no key, no longer word has a productive split."""
+        size = len(self.keys)
+        acc = set()
         for k in range(1, size):
-            right = self.by_value[size - k]
-            shift = self.bits * (size - k)
-            for v1, left in self.by_value[k].items():
-                pairs = [(h, right[v2]) for v2, h in self.model.products_from(v1).items()
-                         if v2 in right]
-                if pairs:
-                    (near if v1 in self._near else far).append((left, shift, pairs))
-        if not far and not near and not any(self.by_value[(size + 1) // 2:]):
+            right = self.keys[size - k]
+            for v1 in self.keys[k]:
+                row = self.model.products_from(v1)
+                acc.update(map(row.get, row.keys() & right))
+        if not acc and not any(self.keys[(size + 1) // 2:]):
             self._exhausted = True
-        if self.bound is None:
-            now, self._rest = far + near, []
-        else:
-            now, self._rest = self._kept_first(near, far)
-        acc: dict[str, set[int]] = {}
-        _join(acc, now)
-        self.by_value.append(acc)
+        self.keys.append(acc)
+        self.sets.append({})
 
-    def _kept_first(self, near, far):
-        """The jobs that fill the kept sets, the values of each class that
-        the ``near`` jobs reach twice or more, and the rest: every ``far``
-        job, which reaches no class, and every other pair.  Each job's v1
-        words are shifted once."""
-        reached = {h for _, _, pairs in near for h, _ in pairs}
-        kept = set()
-        for c in self.classes:
-            hit = reached.intersection(c)
-            if len(hit) > 1:
-                kept |= hit
-        now, rest = [], far
-        for job in near:
-            left, shift, pairs = job
-            filled = [pair for pair in pairs if pair[0] in kept]
-            if not filled:
-                rest.append(job)
-                continue
-            left = [w << shift for w in left]
-            now.append((left, 0, filled))
-            later = [pair for pair in pairs if pair[0] not in kept]
-            if later:
-                rest.append((left, 0, later))
-        return now, rest
+    def _fill(self, length: int, wanted) -> None:
+        """Build the sets of ``wanted`` at ``length``, after the unbuilt
+        sets they are built from.  The jobs of one length are grouped as
+        (k, v1) -> pairs of h and v2, so the words of v1 are shifted once."""
+        keys, sets, to = self.keys, self.sets, self._to
+        need = [set() for _ in range(length + 1)]
+        need[length] = set(wanted)
+        jobs = [{} for _ in range(length + 1)]
+        for m in range(length, 1, -1):
+            need[m].difference_update(sets[m])
+            for k in range(1, m):
+                left, right, left_need, right_need = keys[k], keys[m - k], need[k], need[m - k]
+                for h in need[m]:
+                    for v1, v2 in to.get(h, ()):
+                        if v1 in left and v2 in right:
+                            jobs[m].setdefault((k, v1), []).append((h, v2))
+                            left_need.add(v1)
+                            right_need.add(v2)
+        for m in range(2, length + 1):
+            built = sets[m]
+            for h in need[m]:
+                built[h] = set()
+            for (k, v1), pairs in jobs[m].items():
+                left, right = sets[k][v1], sets[m - k]
+                if left:
+                    shift = self.bits * (m - k)
+                    left = [w << shift for w in left]
+                    for h, v2 in pairs:
+                        built[h].update(starmap(or_, product(left, right[v2])))
 
     def exhausted_at(self, length: int) -> bool:
-        """True when every layer beyond ``length`` is known to be empty.
+        """True when every length beyond ``length`` is known to have no word.
 
-        Valid once layer ``length`` has been built.  Exhaustion is proven
-        at the first layer that closes an empty dyadic window of layers:
-        every longer word then lacks a productive split.  After that the
-        answer holds for any ``length`` whose later built layers are all
-        empty.
+        Valid once layer ``length`` has been asked for.  Exhaustion is
+        proven at the first length that closes a dyadic window without
+        keys: every longer word then lacks a productive split.  After that
+        the answer holds for any ``length`` whose later keys are all empty.
         """
-        return self._exhausted and not any(self.by_value[length + 1:])
-
-
-def _join(acc: dict[str, set[int]], jobs) -> None:
-    """Run jobs (left words, shift, pairs of h and right words) into the
-    value index ``acc``: each left word shifted by ``shift``, or'ed with
-    each right word, joins the set of h."""
-    for left, shift, pairs in jobs:
-        if shift:
-            left = [w << shift for w in left]
-        for h, words in pairs:
-            target = acc.get(h)
-            if target is None:
-                target = acc[h] = set()
-            target.update(starmap(or_, product(left, words)))
+        return self._exhausted and not any(self.keys[length + 1:])
 
 
 def _live_edges(model: TruncatedModel, classes) -> set[str]:
@@ -340,42 +307,67 @@ class MeanScanResult(Record):
 def _scan(model: TruncatedModel, max_len: int, classes: tuple[tuple[str, ...], ...],
           collect_all: bool = False) -> MeanScanResult:
     """Search words of length 2..max_len for two values in one of the
-    ``classes``, layer by layer in one bounded :class:`ValueTable`.
+    ``classes``, layer by layer in one :class:`ValueTable`.
 
-    A word with two values has all of them in one class, so it lies in
-    two of the kept sets of its layer, the only sets the table fills when
-    it builds the layer; the rest is filled only if a longer layer is
-    asked for.  The witness is the least word of the first layer that has
-    one, with its values there, re-checked with :func:`values`; the scan
-    stops there unless ``collect_all``, and on exhaustion.
+    A word with two values has all of them in one class, so it lies in two
+    of the sets the table builds for its length.  Of each pair of listed
+    classes C and inv(C) != C that :func:`_mirrored` names, the table
+    fills only C, and each mean word of C found adds its inverse, a mean
+    word of inv(C) of the same length.  The witness is the least word, by
+    :func:`word_sort_key`, among those found at the first length that has
+    one and their inverses, with its values there, re-checked with
+    :func:`values`; the scan stops there unless ``collect_all``, and on
+    exhaustion.
     """
-    witness, witness_values, count = None, (), 0
-    sad: set[str] = set()
     among = set(chain.from_iterable(classes))
-    table = ValueTable(model, max_len, classes)
+    mirrored = _mirrored(model, classes)
+    dropped = {tuple(sorted(map(model.inv, c))) for c in mirrored}
+    flip = set(chain.from_iterable(mirrored))
+    table = ValueTable(model, max_len, tuple(c for c in classes if c not in dropped))
+    witness, witness_values, count, sad = None, (), 0, set()
     for length in range(2, max_len + 1):
         layer = table.layer(length)
-        index = table.by_value[length]
+        index = {v: table.sets[length][v] for v in table.kept(length)}
         # no word lies in two sets when their sizes add up to their union's
         if sum(map(len, index.values())) > len(layer):
             counts = Counter(chain.from_iterable(index.values()))
             found = {w for w, n in counts.items() if n > 1}
+            flipped = found.intersection(set().union(*(index[v] for v in flip & index.keys())))
             if witness is None:
-                witness, packed = min(((table.decode(w, length), w) for w in found),
-                                      key=lambda pair: word_sort_key(pair[0]))
-                witness_values = tuple(sorted(
-                    v for v, ws in index.items() if packed in ws))
+                words = [(table.decode(w, length), w, False) for w in found]
+                words += [(word_inverse(model, word), w, True)
+                          for word, w, _ in words if w in flipped]
+                witness, packed, inverted = min(words, key=lambda c: word_sort_key(c[0]))
+                read = [v for v, ws in index.items() if packed in ws]
+                witness_values = tuple(sorted(map(model.inv, read) if inverted else read))
                 if tuple(sorted(values(model, witness) & among)) != witness_values:
                     raise AssertionError(f"witness {witness} fails its values re-check")
                 if not collect_all:
-                    found = {packed}
-            count += len(found)
-            sad.update(v for v, ws in index.items() if not ws.isdisjoint(found))
-            if not collect_all:
-                break
+                    return MeanScanResult(max_len, witness, witness_values, witness_values, 1)
+            count += len(found) + len(flipped)
+            hit = {v for v, ws in index.items() if not ws.isdisjoint(found)}
+            sad |= hit
+            sad.update(map(model.inv, hit & flip))
         if table.exhausted_at(length):
             break
     return MeanScanResult(max_len, witness, witness_values, tuple(sorted(sad)), count)
+
+
+def _mirrored(model: TruncatedModel, classes) -> tuple[tuple[str, ...], ...]:
+    """The classes C whose inverse class inv(C), the sorted inverses of C,
+    is listed too and greater than C.
+
+    On a symmetric model whose stored spines have one product each, the
+    product table is closed under (f, g, h) -> (g~, f~, h~), degenerate
+    products included, so every parenthesization of a word w reads
+    backwards as one of its inverse: the values of w~ are the inverses of
+    the values of w.  Elsewhere no class is mirrored.
+    """
+    if model.mode != SYMMETRIC or len({t[:2] for t in model.triangles}) < len(model.triangles):
+        return ()
+    listed = set(classes)
+    return tuple(c for c in classes
+                 if c < (partner := tuple(sorted(map(model.inv, c)))) and partner in listed)
 
 
 def _refuse_involution_faults(model: TruncatedModel) -> None:
@@ -390,11 +382,10 @@ def mean_scan(model: TruncatedModel, max_len: int, *,
     All values of a mean word lie in one suspect class of
     :func:`abelian_suspects`, so a model with no suspect class is kind at
     every length without a scan, and otherwise :func:`_scan` reads only
-    the suspect classes that reach two values at each length, and fills
-    the rest of a layer only to build a longer one.  The witness, its
-    values, the sad edges and the count are those of the scan over every
-    parallel class.  A model with involution faults is refused with
-    :class:`WordError`.
+    the suspect classes that reach two values at each length, one class
+    of each inverse pair.  The witness, its values, the sad edges and the
+    count are those of the scan over every parallel class.  A model with
+    involution faults is refused with :class:`WordError`.
     """
     if max_len < 2:
         raise WordError("mean scan needs max_len >= 2")
@@ -691,10 +682,9 @@ def mountain(model: TruncatedModel, f: str, g: str,
     with the one class (f, g) decides: the witness is the shortest such
     word, first in :func:`word_sort_key` order, re-checked with
     :func:`values`, and an absent verdict is exhaustive at the bound.
-    Each layer fills the value sets of f and g first, and only when both
-    are reachable there; the rest of it waits for a longer layer.  A
-    model with involution faults is refused with :class:`WordError`, as
-    in :func:`mean_scan`.
+    Each length builds the word sets of f and g, and those they are built
+    from, only when both are reachable there.  A model with involution
+    faults is refused with :class:`WordError`, as in :func:`mean_scan`.
     """
     _refuse_involution_faults(model)
     ef, eg = model.edge(f), model.edge(g)

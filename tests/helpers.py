@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import or_
 
 import pgroupoid as pg
 from pgroupoid import fixtures
 from pgroupoid.category import FiniteCategory, IDENTITY_PREFIX
 from pgroupoid.model import orbit_images
-from pgroupoid.words import ValueTable, word_sort_key
+from pgroupoid.words import word_sort_key
 
 
 # -- contraction-sequence oracle -------------------------------------------------
@@ -90,19 +91,58 @@ def all_composable_words(model, max_len, include_identities=False):
 # -- full-layer scan oracle -------------------------------------------------------
 
 
-class FullScan:
-    """``mean_scan`` and ``mountain`` read off layers that are all built in full.
+class FullLayers:
+    """Every valued word of each length 1..max_len, each layer built whole.
 
-    An unbounded ``ValueTable`` (checked against contraction sequences in
-    ``test_words``) builds every layer 2..max_len whole, the last one too,
-    and no exhaustion shortcut is taken.  The bounded scan, which fills
-    only the value sets its reader can use before it reads a layer, must
-    give the same answers at every bound up to ``max_len``.
+    Layer L joins every split k: each word of length k and value v1
+    followed by each word of length L - k and value v2 has value v1·v2.
+    Letters and packing are those of ``ValueTable``: nonidentity edges,
+    ``bits`` bits per letter index, first letter highest.  ``by_value[L]``
+    maps each value to its packed words.  ``test_words`` checks the layers
+    against contraction sequences.
     """
 
     def __init__(self, model, max_len):
-        self.table = table = ValueTable(model)
-        table.layer(max_len)
+        self.letters = model.nonidentity_edges()
+        self.bits = max(1, (len(self.letters) - 1).bit_length())
+        self.by_value = [{}, {e: {i} for i, e in enumerate(self.letters)}]
+        for size in range(2, max_len + 1):
+            acc = {}
+            for k in range(1, size):
+                right, shift = self.by_value[size - k], self.bits * (size - k)
+                for v1, left in self.by_value[k].items():
+                    left = [w << shift for w in left]
+                    for v2, h in model.products_from(v1).items():
+                        if v2 in right:
+                            acc.setdefault(h, set()).update(
+                                itertools.starmap(or_, itertools.product(left, right[v2])))
+            self.by_value.append(acc)
+
+    def layer(self, length):
+        return set().union(*self.by_value[length].values())
+
+    def decode(self, word, length):
+        mask = (1 << self.bits) - 1
+        return tuple(self.letters[(word >> self.bits * i) & mask]
+                     for i in reversed(range(length)))
+
+    def exhausted_at(self, length):
+        """Whether some m <= length closes an empty dyadic window of layers
+        ceil(m/2)..m, the rule by which a bounded scan stops early."""
+        return any(not any(self.by_value[(m + 1) // 2:m + 1]) for m in range(2, length + 1))
+
+
+class FullScan:
+    """``mean_scan`` and ``mountain`` read off layers that are all built in full.
+
+    ``FullLayers`` builds every layer 2..max_len whole, the last one too,
+    and no exhaustion shortcut is taken.  The bounded scan, which builds
+    only the value sets its reader can use, must give the same answers at
+    every bound up to ``max_len``.
+    """
+
+    def __init__(self, model, max_len):
+        self.table = table = FullLayers(model, max_len)
         self.layers = {}  # length -> (value index, packed mean words)
         for length in range(2, max_len + 1):
             index = table.by_value[length]

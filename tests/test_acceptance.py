@@ -14,6 +14,7 @@ from pgroupoid.monoid import NormalForm
 from pgroupoid.words import verify_zigzag
 
 from helpers import (
+    FullLayers,
     MODEL_FIXTURES,
     all_composable_words,
     applicable_moves,
@@ -315,7 +316,7 @@ def test_acceptance_14_a_square_kind_at_length_ten(monkeypatch):
     assert sizes == {L: 0 for L in range(2, 11)}
     assert pg.abelian_suspects(a_square) == ()
     assert pg.mean_scan(a_square, 10).is_kind
-    full = ValueTable(a_square)
+    full = FullLayers(a_square, 10)
     assert [len(full.layer(L)) for L in range(1, 11)] == [12 * 3 ** (L - 1)
                                                          for L in range(1, 11)]
     _finish(14, "a_square kind up to length 10, 12*3^(L-1) valued words per layer",

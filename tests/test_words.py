@@ -9,6 +9,7 @@ import pgroupoid as pg
 from pgroupoid.words import ValueTable, _parallel_classes, _scan, word_sort_key
 
 from helpers import (
+    FullLayers,
     FullScan,
     MODEL_FIXTURES,
     SUB_NERVE_GROUPOIDS,
@@ -184,33 +185,49 @@ EQUIVALENCE_MODELS = (
 def test_value_table_layers_match_brute_force(name, make):
     model = make()
     brute = _brute_layers(model, 6)
-    table = ValueTable(model)
+    full = FullLayers(model, 6)
+    # one class of every edge makes the table build the set of every value
+    # that a length reaches, whenever it reaches two
+    every = tuple(sorted(model.edges))
+    seeded = _seeded_edges(model, (every,))
+    table = ValueTable(model, 6, (every,))
     for length in range(1, 7):
-        layer = table.layer(length)
+        layer = full.layer(length)
         assert len(layer) == len(brute[length])
-        assert {table.decode(w, length) for w in layer} == set(brute[length])
+        assert {full.decode(w, length) for w in layer} == set(brute[length])
         by_value = {}
         for word, vals in brute[length].items():
             for v in vals:
                 by_value.setdefault(v, set()).add(word)
-        got = {v: {table.decode(w, length) for w in ws}
-               for v, ws in table.by_value[length].items()}
+        got = {v: {full.decode(w, length) for w in ws}
+               for v, ws in full.by_value[length].items()}
         assert got == by_value
+        if length > 1:
+            words = table.layer(length)
+            assert table.keys[length] == by_value.keys()
+            built = {v: {table.decode(w, length) for w in ws}
+                     for v, ws in table.sets[length].items()}
+            expected = {v: ws if v in seeded else set() for v, ws in by_value.items()}
+            assert built == (expected if len(expected) > 1 else {})
+            assert {table.decode(w, length) for w in words} == set().union(*built.values())
 
 
 def test_value_table_example1_sizes_and_exhaustion():
-    table = ValueTable(load("example1.pgd"))
-    sizes, exhausted = [], []
+    model = load("example1.pgd")
+    assert [len(FullLayers(model, 7).layer(L)) for L in range(1, 8)] == [13, 8, 2, 0, 0, 0, 0]
+    table = ValueTable(model, 7, _parallel_classes(model))
+    exhausted = []
     for length in range(1, 8):
-        sizes.append(len(table.layer(length)))
+        table.layer(length)
         exhausted.append(table.exhausted_at(length))
-    assert sizes == [13, 8, 2, 0, 0, 0, 0]
+    assert [bool(keys) for keys in table.keys[1:]] == [True] * 3 + [False] * 4
     # layers 4..7 form the first empty dyadic window
     assert exhausted == [False] * 6 + [True]
 
 
 def test_exhausted_at_answers_for_the_length_asked():
-    table = ValueTable(load("example1.pgd"))
+    model = load("example1.pgd")
+    table = ValueTable(model, 7, _parallel_classes(model))
     table.layer(5)
     # layers 4 and 5 are empty, but no dyadic window is closed yet
     assert not any(table.exhausted_at(length) for length in range(1, 6))
@@ -344,9 +361,9 @@ def test_bounded_scan_matches_full_layers_on_na_gluings():
     assert len(found) == 124 + 47
     # every NA gluing is mean at its spine length, which is one of the bounds
     assert all(found.values())
-    # a scan runs the jobs it deferred at a layer only to build a longer
-    # one, as collect_all and the bounds above the least mean word do, so
-    # the samples are mean below 6 too
+    # a scan builds a set below its last length only as a factor of a
+    # longer one, as collect_all and the bounds above the least mean word
+    # ask for, so the samples are mean below 6 too
     assert {len(pg.mean_scan(model, 6).witness) for _, model in sampled} == {3, 4, 5, 6}
 
 
@@ -358,19 +375,21 @@ def test_bounded_scan_matches_full_layers_on_sub_nerves(which, seed, edge_p, tri
     model = sub_nerve(nerve, random.Random(seed), edge_p, tri_p)
     _check_scan_against_full_layers(model)
     # beside a gluing, whose mean words lie below most bounds: the scans
-    # read layers past them, built after the deferred jobs below have run
+    # read lengths past them, built from the sets that those lengths need
     _check_scan_against_full_layers(model_union(model, gluing))
 
 
 def _scan_layers(monkeypatch, scan):
-    """(length, value index as the scan read it, exhausted_at) of every
-    layer one scan fetches, and the scan's table."""
+    """(length, words returned, sets built at that length, exhausted_at) of
+    every layer one scan reads, and the scan's table.  A scan reads its
+    lengths in ascending order, so the sets of a length built when it is
+    read are the ones built for that read."""
     seen, tables = [], []
     build = ValueTable.layer
 
     def recording_layer(table, length):
         out = build(table, length)
-        seen.append((length, dict(table.by_value[length]), table.exhausted_at(length)))
+        seen.append((length, out, dict(table.sets[length]), table.exhausted_at(length)))
         tables.append(table)
         return out
 
@@ -427,16 +446,32 @@ def _exhaustion_models():
 
 
 def _full_exhaustion(model, max_len):
-    table = ValueTable(model)
-    return [(L, len(table.layer(L)), table.exhausted_at(L)) for L in range(2, max_len + 1)]
+    full = FullLayers(model, max_len)
+    return [(L, len(full.layer(L)), full.exhausted_at(L)) for L in range(2, max_len + 1)]
+
+
+def _check_table_reads(table, seen, full, seeded):
+    """What a scan's table built against the full build ``full``: keys
+    equal at every length the scan reached; every set built is the full
+    build's in a seeded component and empty elsewhere; the sets read at a
+    length are those of each filled class that reaches two values there,
+    and the words returned are their union."""
+    reached = seen[-1][0]
+    assert len(table.keys) == reached + 1
+    for length in range(1, reached + 1):
+        assert table.keys[length] == full.by_value[length].keys()
+        for v, words in table.sets[length].items():
+            assert words == (full.by_value[length][v] if v in seeded else set())
+    for length, words, index, _ in seen:
+        assert index.keys() == _class_values_reached(full.by_value[length], table.classes)
+        assert words == set().union(*index.values())
 
 
 @pytest.mark.parametrize("name, model", list(_exhaustion_models()),
                          ids=[name for name, _ in _exhaustion_models()])
 def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, model):
     full = _full_exhaustion(model, max(SCAN_BOUNDS))
-    full_table = ValueTable(model)
-    full_table.layer(max(SCAN_BOUNDS))
+    full_table = FullLayers(model, max(SCAN_BOUNDS))
     pairs = _parallel_pairs(model)[:3]
     every = _parallel_classes(model)
     for bound in SCAN_BOUNDS:
@@ -446,26 +481,19 @@ def test_bounded_scan_exhausts_where_the_full_build_does(monkeypatch, name, mode
                   for f, g in pairs]
         for classes, scan in scans:
             seen, table = _scan_layers(monkeypatch, scan)
+            assert [length for length, *_ in seen] == list(range(2, seen[-1][0] + 1))
             if seen[-1][0] < bound:
                 # a scan stops early only on exhaustion (mountain also on a find)
-                assert seen[-1][2] or classes is not every
-            seeded = _seeded_edges(model, classes)
-            for length, index, exhausted in seen:
-                full_index = full_table.by_value[length]
+                assert seen[-1][3] or classes is not every
+            for length, _, _, exhausted in seen:
                 assert exhausted == full[length - 2][2]
-                # the scan reads exactly the sets of the values of every
-                # class that reaches two values at that length, complete in
-                # a component that holds a class
-                assert index.keys() == _class_values_reached(full_index, classes)
-                assert all(index[v] == (full_index[v] if v in seeded else set())
-                           for v in index)
-            # every layer below the top is complete: every set is the full
-            # build's in a component that holds a class and empty elsewhere
-            for length in range(1, len(table.by_value) - 1):
-                index, full_index = table.by_value[length], full_table.by_value[length]
-                assert index.keys() == full_index.keys()
-                assert all(index[v] == (full_index[v] if v in seeded else set())
-                           for v in index)
+            # the filled classes are the listed ones, less the greater of
+            # each pair of inverse classes on a symmetric model
+            inverse = ({c: tuple(sorted(map(model.inv, c))) for c in classes}
+                       if model.mode == pg.model.SYMMETRIC else {})
+            dropped = {c for c in classes if inverse.get(c, c) < c and inverse[c] in classes}
+            assert table.classes == tuple(c for c in classes if c not in dropped)
+            _check_table_reads(table, seen, full_table, _seeded_edges(model, table.classes))
 
 
 def test_exhaustion_closes_on_the_last_layer():
@@ -477,7 +505,7 @@ def test_exhaustion_closes_on_the_last_layer():
         assert [e for _, _, e in full] == [False] * 5 + [True]
         table = ValueTable(model, 7, ())
         table.layer(7)
-        assert table.exhausted_at(7) and not table.by_value[7]
+        assert table.exhausted_at(7) and not table.keys[7]
     # a layer at the bound that keeps nothing is not an empty layer
     table = ValueTable(load("a_square.pgd"), 7, ())
     assert not table.layer(7) and not table.exhausted_at(7)
@@ -490,31 +518,28 @@ def test_exhaustion_closes_on_the_last_layer():
                          ids=["a_square", "horn symmetrized", "pair(3) nerve"])
 def test_models_without_parallel_edges_build_no_word(monkeypatch, model):
     assert not _parallel_pairs(model)
-    full = ValueTable(model)
+    full = FullLayers(model, 8)
     for bound in (2, 5, 8):
         seen, table = _scan_layers(monkeypatch, lambda: _scan(model, bound, _parallel_classes(model),
                                                               collect_all=True))
-        assert [length for length, _, _ in seen] == list(range(2, bound + 1))
-        # the scan keeps no set, so its top layer is empty and every layer
-        # below, whose deferred jobs have run, has the full build's keys
-        # and only empty sets
-        full.layer(bound)
-        assert not table.by_value[-1]
-        for length in range(1, bound):
-            assert table.by_value[length].keys() == full.by_value[length].keys()
-            assert not any(table.by_value[length].values())
+        assert [length for length, *_ in seen] == list(range(2, bound + 1))
+        # the scan has no class, so it reads no word and builds no set, but
+        # its keys are the full build's at every length
+        assert not any(words for _, words, _, _ in seen)
+        assert not any(table.sets[2:])
+        for length in range(1, bound + 1):
+            assert table.keys[length] == full.by_value[length].keys()
 
 
 def _layer_at_the_bound(model, bound, classes):
     table = ValueTable(model, bound, classes)
     table.layer(bound)
-    return table.by_value[bound]
+    return table.sets[bound]
 
 
 def test_layer_at_the_bound_keeps_the_classes_that_reach_two_values():
     na = load("na_square.pgd")
-    full = ValueTable(na)
-    full.layer(3)
+    full = FullLayers(na, 3)
     for classes, kept in ((_parallel_classes(na), {"lT", "lT'", "lT^", "lT'^"}),
                           ((("lT", "lT'"),), {"lT", "lT'"}),
                           ((), set())):
@@ -527,12 +552,78 @@ def test_layer_at_the_bound_keeps_the_classes_that_reach_two_values():
         [("a", "0", "1"), ("b", "1", "2"), ("c", "0", "3"), ("d", "3", "2"),
          ("p", "0", "4"), ("q", "4", "2")] + [(e, "0", "2") for e in "fghk"],
         [("a", "b", "f"), ("c", "d", "g"), ("p", "q", "h")])
-    full = ValueTable(spines)
-    full.layer(2)
+    full = FullLayers(spines, 2)
     for classes, kept in (((("f", "g"), ("h", "k")), "fg"),
                           ((("h", "k"),), ""),
                           (_parallel_classes(spines), "fgh")):
         assert _layer_at_the_bound(spines, 2, classes) == {v: full.by_value[2][v] for v in kept}
+
+
+# -- inverse classes ---------------------------------------------------------------
+
+
+def _reversed_square(extra=""):
+    """na_square with lT and lT' declared from 3 to 0, so that its
+    triangles take lT^ and lT'^ as long edges, and its mean words of
+    least length have the values of the greater class (lT'^, lT^)."""
+    return pg.parse_pgd("""pgd 1
+mode symmetric
+object 0
+object 1
+object 2
+object 3
+edge dT'_13 1 3
+edge dT_02 0 2
+edge lT 3 0
+edge lT' 3 0
+edge s1 0 1
+edge s2 1 2
+edge s3 2 3
+tri dT_02 s3 lT^
+tri s1 dT'_13 lT'^
+tri s1 s2 dT_02
+tri s2 s3 dT'_13
+""" + extra, check=not extra)
+
+
+def test_scan_fills_one_class_of_an_inverse_pair_and_inverts_its_words(monkeypatch):
+    model = _reversed_square()
+    assert pg.abelian_suspects(model) == (("lT", "lT'"), ("lT'^", "lT^"))
+    scan = pg.mean_scan(model, 3)
+    assert (scan.witness, scan.witness_values) == (("s1", "s2", "s3"), ("lT'^", "lT^"))
+    full = FullScan(model, 5)
+    for bound, count in ((3, 4), (4, 24), (5, 132)):
+        scan = pg.mean_scan(model, bound, collect_all=True)
+        assert scan.sad_edges == ("lT", "lT'", "lT'^", "lT^")
+        assert scan.mean_word_count == count
+        got = (scan.witness, scan.witness_values, scan.sad_edges, scan.mean_word_count)
+        assert got == full.mean_scan(bound, collect_all=True)
+    # the table fills (lT, lT') alone, and the witness is the inverse of a
+    # word it read
+    seen, table = _scan_layers(monkeypatch, lambda: pg.mean_scan(model, 5, collect_all=True))
+    assert table.classes == (("lT", "lT'"),)
+    assert [sorted(index) for _, _, index, _ in seen] == [["lT", "lT'"]] * 4
+    read = {table.decode(w, 3) for w in seen[1][1]}
+    assert ("s3^", "s2^", "s1^") in read and ("s1", "s2", "s3") not in read
+
+
+def test_spine_faults_turn_the_mirror_off(monkeypatch):
+    # a second long edge on the spine (dT_02, s3): its product is lT'^, the
+    # least, while the mirrored spine (s3^, dT_02^) takes lT, whose inverse
+    # is not lT'^, so inverting words would not invert their values
+    model = _reversed_square("tri dT_02 s3 lT'^\n")
+    assert not model.validate().ok
+    assert model.mult("dT_02", "s3") == "lT'^" and model.mult("s3^", "dT_02^") == "lT"
+    classes = pg.abelian_suspects(model)
+    assert classes == (("lT", "lT'"), ("lT'^", "lT^"))
+    _, table = _scan_layers(monkeypatch, lambda: pg.mean_scan(model, 4, collect_all=True))
+    assert table.classes == classes
+    full = FullScan(model, 4)
+    for bound in (2, 3, 4):
+        for collect_all in (False, True):
+            scan = pg.mean_scan(model, bound, collect_all=collect_all)
+            got = (scan.witness, scan.witness_values, scan.sad_edges, scan.mean_word_count)
+            assert got == full.mean_scan(bound, collect_all)
 
 
 # -- the abelian certificate -----------------------------------------------------------
