@@ -118,7 +118,12 @@ class ValidationReport(Record):
 
 
 class TruncatedModel:
-    """A finite partial groupoid (or edgy simplicial set) at truncation level 2."""
+    """A finite partial groupoid (or edgy simplicial set) at truncation level 2.
+
+    A model is immutable after construction.  Its product table is built by
+    the constructor; its sorted nonidentity edges and its products-to table
+    are built on first use and kept.
+    """
 
     def __init__(self, mode, objects, edges, triangles):
         if mode not in (SYMMETRIC, SIMPLICIAL):
@@ -143,6 +148,7 @@ class TruncatedModel:
         self._out_edges = {o: tuple(v) for o, v in out.items()}
         self._build_product_tables()
         self._products_to = None
+        self._nonidentity = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -262,7 +268,10 @@ class TruncatedModel:
         return self.edge(name).is_identity
 
     def nonidentity_edges(self) -> tuple[str, ...]:
-        return tuple(sorted(n for n, e in self.edges.items() if not e.is_identity))
+        if self._nonidentity is None:
+            self._nonidentity = tuple(sorted(n for n, e in self.edges.items()
+                                             if not e.is_identity))
+        return self._nonidentity
 
     def edge_pairs(self) -> tuple[tuple[str, ...], ...]:
         """Involution orbits of nondegenerate edges, canonically oriented."""

@@ -20,8 +20,7 @@ lexicographically.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain, product, starmap
-from operator import or_
+from itertools import chain
 
 from .model import SYMMETRIC, Edge, TruncatedModel, identity_name, word_sort_key
 from .records import Record
@@ -147,8 +146,10 @@ class ValueTable:
     a key v2 at L - k, degenerate products included.  The keys alone
     decide emptiness, exhaustion and which values of a class a length
     reaches.  ``sets[L]`` maps a value h to its packed words, built only
-    when asked for and then kept: for each such factorization of h, the
-    words of v1 followed by those of v2.
+    when asked for, after the sets it is built from, and then kept: for
+    each such factorization of h, the words of v1 followed by those of v2.
+    Both read one index per table, each value h -> its factorizations
+    (v1, v2), degenerate products included.
 
     Each of the ``classes`` is two or more parallel edges that may be two
     values of one word, and a word with two values has all of them in one
@@ -171,7 +172,7 @@ class ValueTable:
         self.sets = [{}, {e: {i} if e in live else set()
                           for i, e in enumerate(self.letters)}]
         self._to: dict[str, list[tuple[str, str]]] = {}
-        for v1 in live:
+        for v1 in model.edges:
             for v2, h in model.products_from(v1).items():
                 self._to.setdefault(h, []).append((v1, v2))
         self._exhausted = False
@@ -203,15 +204,14 @@ class ValueTable:
                      for i in reversed(range(length)))
 
     def _key_next(self):
-        """The keys of the next length.  Once a dyadic window of lengths has
-        no key, no longer word has a productive split."""
+        """The keys of the next length: the values with a factorization
+        keyed at some split.  Once a dyadic window of lengths has no key,
+        no longer word has a productive split."""
         size = len(self.keys)
-        acc = set()
-        for k in range(1, size):
-            right = self.keys[size - k]
-            for v1 in self.keys[k]:
-                row = self.model.products_from(v1)
-                acc.update(map(row.get, row.keys() & right))
+        splits = [(self.keys[k], self.keys[size - k]) for k in range(1, size)]
+        acc = {h for h, pairs in self._to.items()
+               if any(v1 in left and v2 in right
+                      for left, right in splits for v1, v2 in pairs)}
         if not acc and not any(self.keys[(size + 1) // 2:]):
             self._exhausted = True
         self.keys.append(acc)
@@ -219,12 +219,13 @@ class ValueTable:
 
     def _fill(self, length: int, wanted) -> None:
         """Build the sets of ``wanted`` at ``length``, after the unbuilt
-        sets they are built from.  The jobs of one length are grouped as
-        (k, v1) -> pairs of h and v2, so the words of v1 are shifted once."""
+        sets they are built from: the set of h at m joins the words of v1
+        with those of v2, for each factorization v1·v2 = h keyed at a split
+        (k, m - k).  The unbuilt sets are listed top-down, then built
+        bottom-up."""
         keys, sets, to = self.keys, self.sets, self._to
         need = [set() for _ in range(length + 1)]
         need[length] = set(wanted)
-        jobs = [{} for _ in range(length + 1)]
         for m in range(length, 1, -1):
             need[m].difference_update(sets[m])
             for k in range(1, m):
@@ -232,20 +233,19 @@ class ValueTable:
                 for h in need[m]:
                     for v1, v2 in to.get(h, ()):
                         if v1 in left and v2 in right:
-                            jobs[m].setdefault((k, v1), []).append((h, v2))
                             left_need.add(v1)
                             right_need.add(v2)
         for m in range(2, length + 1):
-            built = sets[m]
             for h in need[m]:
-                built[h] = set()
-            for (k, v1), pairs in jobs[m].items():
-                left, right = sets[k][v1], sets[m - k]
-                if left:
+                built = sets[m][h] = set()
+                pairs = to.get(h, ())
+                for k in range(1, m):
+                    left, right, left_sets, right_sets = keys[k], keys[m - k], sets[k], sets[m - k]
                     shift = self.bits * (m - k)
-                    left = [w << shift for w in left]
-                    for h, v2 in pairs:
-                        built[h].update(starmap(or_, product(left, right[v2])))
+                    for v1, v2 in pairs:
+                        if v1 in left and v2 in right:
+                            built.update([w << shift | r
+                                          for w in left_sets[v1] for r in right_sets[v2]])
 
     def exhausted_at(self, length: int) -> bool:
         """True when every length beyond ``length`` is known to have no word.
@@ -416,41 +416,55 @@ def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...]:
     a word, at any length, are parallel edges with one image.  Each such
     class of two or more edges is a suspect class, and a model with none
     has no mean word.  A is Z^n modulo the triangle rows, one column per
-    involution pair (per nonidentity edge in a simplicial model) and a row
-    2x per self-inverse loop x; only edges with a parallel partner are
-    reduced, and every row is re-checked against the basis.
+    involution pair (per nonidentity edge in a simplicial model), a row
+    2x per self-inverse loop x and one row per orbit of a closed triangle
+    table; only edges with a parallel partner are reduced, and every row
+    is re-checked against the basis.  Each call builds it again.
 
     A model with involution faults is refused with :class:`WordError`:
     there a degenerate product f·f~, the identity at the source of f, need
     not end where f~ does, so the values of a word need not be parallel.
     """
     _refuse_involution_faults(model)
-    relations = set()
     closed = model.mode == SYMMETRIC
-    if closed:
-        coord = {}
-        for col, pair in enumerate(model.edge_pairs()):
-            coord[pair[0]] = (col, 1)
-            if len(pair) == 2:
-                coord[pair[1]] = (col, -1)
-            else:
-                relations.add(((col, 2),))
-    else:
-        coord = {e: (col, 1) for col, e in enumerate(model.nonidentity_edges())}
-    for t in model.triangles:
-        # The images (f, g, h), (g, h~, f~) and (h~, f, g~) of one orbit give
-        # one row, and f > g > h~ > f cannot hold, so a closed table stores
-        # one with f <= g, or drops one whose row is zero.
-        if closed and t[0] > t[1]:
+    # Each nonidentity edge reads a signed column, from 1: f -> c and, in a
+    # closed model, f~ -> -c.  An identity reads 0 and adds nothing to a row.
+    column: dict[str, int] = {}
+    loops, relations = set(), set()
+    cols = 0
+    for name in model.nonidentity_edges():
+        if name in column:
             continue
+        cols += 1
+        column[name] = cols
+        if closed:
+            partner = model.edges[name].inv
+            if partner == name:
+                loops.add(name)
+                relations.add(((cols, 2),))
+            else:
+                column[partner] = -cols
+    rows = set()
+    for f, g, h in model.triangles:
+        x, y, z = column.get(f, 0), column.get(g, 0), -column.get(h, 0)
+        # The six images of a closed triangle read (x, y, z) and (-x, -z, -y),
+        # each rotated, and give one row up to sign.  Of each three rotations
+        # only the one that starts at its least entry is read, and of the two
+        # halves the one whose least entry is the larger in size (both on a
+        # tie).  Images with a self-inverse loop x differ by the row 2x and
+        # are all read.
+        if (closed and not (x <= y and x <= z and x + max(y, z) <= 0)
+                and loops.isdisjoint((f, g, h))):
+            continue
+        rows.add((x, y, z))
+    for signed in rows:
         row: dict[int, int] = {}
-        for name, sign in zip(t, (1, 1, -1)):
-            c = coord.get(name)
-            if c:
-                row[c[0]] = row.get(c[0], 0) + sign * c[1]
-        rel = [item for item in sorted(row.items()) if item[1]]
+        for x in signed:
+            if x:
+                row[abs(x)] = row.get(abs(x), 0) + (1 if x > 0 else -1)
+        rel = tuple(sorted(item for item in row.items() if item[1]))
         if rel:
-            relations.add(tuple(rel) if rel[0][1] > 0 else tuple((c, -k) for c, k in rel))
+            relations.add(rel)
     basis = _echelon(relations)
     for rel in relations:
         if _reduce(basis, rel):
@@ -459,7 +473,14 @@ def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...]:
     for names in _parallel_classes(model):
         images: dict[tuple, list[str]] = {}
         for name in names:
-            image = _reduce(basis, (coord[name],)) if name in coord else ()
+            x = column.get(name, 0)
+            unit = ((abs(x), 1 if x > 0 else -1),)
+            if not x:
+                image = ()
+            elif abs(x) in basis:
+                image = _reduce(basis, unit)
+            else:
+                image = unit  # a column without a pivot row is its own remainder
             images.setdefault(image, []).append(name)
         classes += [tuple(c) for c in images.values() if len(c) > 1]
     return tuple(sorted(classes))

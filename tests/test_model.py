@@ -302,6 +302,16 @@ def test_product_table_matches_triangle_oracle():
         _assert_one_table(model)
 
 
+def test_nonidentity_edges_are_built_once():
+    models = [load(name) for name in MODEL_FIXTURES]
+    models += [pg.symmetrize(m) for m in models if m.mode == "simplicial"]
+    models += [pg.nerve_truncation(cat) for cat in groupoid_pool()]
+    for model in models:
+        edges = model.nonidentity_edges()
+        assert edges == tuple(sorted(n for n in model.edges if not model.is_identity(n)))
+        assert model.nonidentity_edges() is edges
+
+
 # -- nerves ----------------------------------------------------------------------
 
 

@@ -172,12 +172,23 @@ def _brute_layers(model, max_len):
     return layers
 
 
+def _middle_split_chain():
+    """The path a b c d, with a·b = x, c·d = y and x·y = h: the word abcd
+    has the value h, but only through its middle split (ab)(cd)."""
+    return pg.TruncatedModel.simplicial(
+        "01234",
+        [("a", "0", "1"), ("b", "1", "2"), ("c", "2", "3"), ("d", "3", "4"),
+         ("x", "0", "2"), ("y", "2", "4"), ("h", "0", "4")],
+        [("a", "b", "x"), ("c", "d", "y"), ("x", "y", "h")])
+
+
 EQUIVALENCE_MODELS = (
     ("na_square", lambda: load("na_square.pgd")),
     ("na_pentagon", lambda: load("na_pentagon.pgd")),
     ("example1", lambda: load("example1.pgd")),
     ("example2", lambda: load("example2.pgd")),
     ("horn_symmetric", horn_symmetric),
+    ("middle_split_chain", _middle_split_chain),
 )
 
 
@@ -687,6 +698,29 @@ def test_abelian_suspects_on_the_fixtures():
     assert pg.abelian_suspects(load("example2.pgd")) == (("f", "g"),)
 
 
+def _one_object(*triangles):
+    """Loops a, b with inverses and a self-inverse loop x on one object."""
+    edges = [pg.Edge("1@o", "o", "o", inv="1@o", is_identity=True),
+             pg.Edge("a", "o", "o", inv="a^"), pg.Edge("a^", "o", "o", inv="a"),
+             pg.Edge("b", "o", "o", inv="b^"), pg.Edge("b^", "o", "o", inv="b"),
+             pg.Edge("x", "o", "o", inv="x")]
+    return pg.TruncatedModel("symmetric", ["o"], edges, triangles)
+
+
+def test_abelian_suspects_reads_one_row_of_every_triangle_orbit():
+    # A closed table gives one row per orbit, read off one image.  In
+    # (b, a, b) the row cancels down to a, and both halves of the orbit
+    # start at their least entry in the same size; the images of
+    # (a, a^, x) hold the self-inverse loop x and differ by the row 2x.
+    # Each spine (b^, b) and (a, a^) has two products here, so neither
+    # model validates, but neither has an involution fault.
+    for triangle, expected in ((("b", "a", "b"), (("1@o", "a", "a^"),)),
+                               (("a", "a^", "x"), (("1@o", "x"),))):
+        model = _one_object(triangle)
+        assert not model.validate().ok
+        assert pg.abelian_suspects(model) == expected == brute_abelian_classes(model)
+
+
 def test_involution_faults_are_refused():
     # e0 and e1 both name e2 as their partner, whose partner is e0, so the
     # degenerate product e1·e2 is 1@a, which does not end where e2 does, and
@@ -725,6 +759,24 @@ def test_abelian_suspects_rechecks_every_row(monkeypatch):
     monkeypatch.setattr(pg.words, "_echelon", one_row_short)
     with pytest.raises(AssertionError, match="re-check"):
         pg.abelian_suspects(load("na_square.pgd"))
+
+
+def test_calls_on_one_model_answer_as_on_fresh_models():
+    # A model keeps its sorted edges and its products-to table once built;
+    # mountain, mean_scan and mountain again on one model object answer as
+    # each does on a fresh parse, so nothing one call builds for its classes
+    # leaks into the next.
+    models = [load(name) for name in MODEL_FIXTURES]
+    models += [pg.symmetrize(load(name)) for name in ("example1.pgd", "example2.pgd")]
+    models += [model for _, model in _na_gluings(4)]
+    models.append(model_union(pg.nerve_truncation(pg.cyclic_group(3)), load("na_square.pgd")))
+    for model in models:
+        f, g = (_parallel_classes(model) or [(None, None)])[0][:2]
+        calls = [lambda m: pg.mean_scan(m, 5, collect_all=True), lambda m: pg.mean_scan(m, 4)]
+        if f is not None:
+            calls = [lambda m: pg.mountain(m, f, g, 5)] + calls + [lambda m: pg.mountain(m, f, g, 5)]
+        for call in calls:
+            assert call(model) == call(pg.parse_pgd(pg.emit_pgd(model)))
 
 
 # -- mountains ---------------------------------------------------------------------
