@@ -13,8 +13,9 @@ product table, built by the constructor and read by :meth:`mult` and
   symmetric mode, where ``f~`` is the involution partner of ``f``.
 
 The constructor closes a symmetric triangle table under the six vertex
-permutations of a triangle (when the involution is valid) and, in both
-modes, drops each triple whose degenerate spine gives its product.  The
+permutations of a triangle (when the involution is valid), once per
+orbit, and, in both modes, drops each triple whose degenerate spine gives
+its product, a whole orbit at a time when the table is closed.  The
 model invariant ("spininess") is that the partial map ``(f, g) -> h``
 over stored triangles plus the implicit degenerates is single valued.
 It and the involution are checked by :meth:`TruncatedModel.validate`,
@@ -122,7 +123,11 @@ class TruncatedModel:
 
     A model is immutable after construction.  Its product table is built by
     the constructor; its sorted nonidentity edges and its products-to table
-    are built on first use and kept.
+    are built on first use and kept.  A symmetric table with a valid
+    involution is closed one orbit at a time, each orbit once however many
+    of its images are written, and ``_orbits`` keeps one image of each
+    stored orbit (each stored triangle in simplicial mode or with
+    involution faults, where nothing is closed).
     """
 
     def __init__(self, mode, objects, edges, triangles):
@@ -138,10 +143,18 @@ class TruncatedModel:
             raise ModelError("duplicate edge names")
         written = sorted({tuple(t) for t in triangles})
         self._involution_faults = self._check_structure(written)
-        if mode == SYMMETRIC and not self._involution_faults:
-            written = [img for t in written for img in orbit_images(t, self.inv)]
-        self.triangles = frozenset(
-            t for t in written if self._degenerate_value(t[0], t[1]) != t[2])
+        closed = mode == SYMMETRIC and not self._involution_faults
+        # An orbit is degenerate as a whole, so one image decides it.
+        seen, orbits, kept = set(), [], []
+        for t in written:
+            if t not in seen:
+                images = orbit_images(t, self.inv) if closed else (t,)
+                seen.update(images)
+                if self._degenerate_value(t[0], t[1]) != t[2]:
+                    orbits.append(t)
+                    kept += images
+        self._orbits = tuple(orbits)
+        self.triangles = frozenset(kept)
         out = {o: [] for o in self.objects}
         for name in sorted(self.edges):
             out[self.edges[name].src].append(name)
@@ -419,12 +432,13 @@ class TruncatedModel:
         """Canonical representatives of the triangle orbits (symmetric mode).
 
         The representative is the positively oriented image where possible:
-        fewest inverse-marked names, ties broken lexicographically.
+        fewest inverse-marked names, ties broken lexicographically.  It is
+        taken once per orbit the constructor kept.
         """
         if self.mode != SYMMETRIC:
             return tuple(sorted(self.triangles))
         reps = {min(orbit_images(t, self.inv), key=word_sort_key)
-                for t in self.triangles}
+                for t in self._orbits}
         return tuple(sorted(reps))
 
 

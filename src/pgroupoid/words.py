@@ -19,7 +19,7 @@ lexicographically.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from itertools import chain
 
 from .model import SYMMETRIC, Edge, TruncatedModel, identity_name, word_sort_key
@@ -149,7 +149,10 @@ class ValueTable:
     when asked for, after the sets it is built from, and then kept: for
     each such factorization of h, the words of v1 followed by those of v2.
     Both read one index per table, each value h -> its factorizations
-    (v1, v2), degenerate products included.
+    (v1, v2), degenerate products included.  The walk that lists the
+    unbuilt sets tests each factorization once and records the joins it
+    finds as the plan of its set, so each set is then built by one join
+    over its plan.
 
     Each of the ``classes`` is two or more parallel edges that may be two
     values of one word, and a word with two values has all of them in one
@@ -205,13 +208,21 @@ class ValueTable:
 
     def _key_next(self):
         """The keys of the next length: the values with a factorization
-        keyed at some split.  Once a dyadic window of lengths has no key,
-        no longer word has a productive split."""
+        keyed at some split, each found by a plain walk over its
+        factorizations and the splits that stops at the first keyed one.
+        Once a dyadic window of lengths has no key, no longer word has a
+        productive split."""
         size = len(self.keys)
         splits = [(self.keys[k], self.keys[size - k]) for k in range(1, size)]
-        acc = {h for h, pairs in self._to.items()
-               if any(v1 in left and v2 in right
-                      for left, right in splits for v1, v2 in pairs)}
+        acc = set()
+        for h, pairs in self._to.items():
+            for v1, v2 in pairs:
+                for left, right in splits:
+                    if v1 in left and v2 in right:
+                        acc.add(h)
+                        break
+                if h in acc:
+                    break
         if not acc and not any(self.keys[(size + 1) // 2:]):
             self._exhausted = True
         self.keys.append(acc)
@@ -221,31 +232,34 @@ class ValueTable:
         """Build the sets of ``wanted`` at ``length``, after the unbuilt
         sets they are built from: the set of h at m joins the words of v1
         with those of v2, for each factorization v1·v2 = h keyed at a split
-        (k, m - k).  The unbuilt sets are listed top-down, then built
-        bottom-up."""
-        keys, sets, to = self.keys, self.sets, self._to
+        (k, m - k).  The unbuilt sets are listed top-down, and the walk
+        keeps, per set, its plan: the keyed factorizations it found, each
+        with the layers k and m - k it joins and the shift of the left
+        words.  The sets are then built bottom-up, each in one set
+        comprehension over its plan, with no factorization tested again."""
+        keys, sets, to, bits = self.keys, self.sets, self._to, self.bits
         need = [set() for _ in range(length + 1)]
         need[length] = set(wanted)
+        plans = [None] * (length + 1)
         for m in range(length, 1, -1):
             need[m].difference_update(sets[m])
-            for k in range(1, m):
-                left, right, left_need, right_need = keys[k], keys[m - k], need[k], need[m - k]
-                for h in need[m]:
-                    for v1, v2 in to.get(h, ()):
+            splits = [(keys[k], keys[m - k], need[k], need[m - k], sets[k], sets[m - k],
+                       bits * (m - k)) for k in range(1, m)]
+            plan = plans[m] = {}
+            for h in need[m]:
+                joins = plan[h] = []
+                pairs = to.get(h, ())
+                for left, right, left_need, right_need, left_sets, right_sets, shift in splits:
+                    for v1, v2 in pairs:
                         if v1 in left and v2 in right:
                             left_need.add(v1)
                             right_need.add(v2)
+                            joins.append((left_sets, v1, right_sets, v2, shift))
         for m in range(2, length + 1):
-            for h in need[m]:
-                built = sets[m][h] = set()
-                pairs = to.get(h, ())
-                for k in range(1, m):
-                    left, right, left_sets, right_sets = keys[k], keys[m - k], sets[k], sets[m - k]
-                    shift = self.bits * (m - k)
-                    for v1, v2 in pairs:
-                        if v1 in left and v2 in right:
-                            built.update([w << shift | r
-                                          for w in left_sets[v1] for r in right_sets[v2]])
+            built = sets[m]
+            for h, joins in plans[m].items():
+                built[h] = {w << shift | r for left, v1, right, v2, shift in joins
+                            for w in left[v1] for r in right[v2]}
 
     def exhausted_at(self, length: int) -> bool:
         """True when every length beyond ``length`` is known to have no word.
@@ -270,8 +284,9 @@ def _live_edges(model: TruncatedModel, classes) -> set[str]:
 
     for e in model.edges.values():
         root[find(e.src)] = find(e.tgt)
-    live = {find(model.edge(c[0]).src) for c in classes}
-    return {name for name, e in model.edges.items() if find(e.src) in live}
+    component = {o: find(o) for o in model.objects}
+    live = {component[model.edges[c[0]].src] for c in classes}
+    return {name for name, e in model.edges.items() if component[e.src] in live}
 
 
 # -- mean/kind scan ------------------------------------------------------------
@@ -330,8 +345,10 @@ def _scan(model: TruncatedModel, max_len: int, classes: tuple[tuple[str, ...], .
         index = {v: table.sets[length][v] for v in table.kept(length)}
         # no word lies in two sets when their sizes add up to their union's
         if sum(map(len, index.values())) > len(layer):
-            counts = Counter(chain.from_iterable(index.values()))
-            found = {w for w, n in counts.items() if n > 1}
+            found, seen = set(), set()
+            for ws in index.values():
+                found |= seen & ws
+                seen |= ws
             flipped = found.intersection(set().union(*(index[v] for v in flip & index.keys())))
             if witness is None:
                 words = [(table.decode(w, length), w, False) for w in found]
@@ -417,20 +434,26 @@ def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...]:
     class of two or more edges is a suspect class, and a model with none
     has no mean word.  A is Z^n modulo the triangle rows, one column per
     involution pair (per nonidentity edge in a simplicial model), a row
-    2x per self-inverse loop x and one row per orbit of a closed triangle
-    table; only edges with a parallel partner are reduced, and every row
-    is re-checked against the basis.  Each call builds it again.
+    2x per self-inverse loop x and one row per triangle orbit the model
+    keeps, read off its one kept image: the six images of an orbit give
+    one row up to sign, and up to the row 2x where they differ by a
+    self-inverse loop x.  Only edges with a parallel partner are reduced,
+    and every row is re-checked against the basis.  A model with no
+    stored triangle has distinct images on distinct edges, so it gets no
+    suspect class before any column is built.  Each call builds A again.
 
     A model with involution faults is refused with :class:`WordError`:
     there a degenerate product f·f~, the identity at the source of f, need
     not end where f~ does, so the values of a word need not be parallel.
     """
     _refuse_involution_faults(model)
+    if not model.triangles:
+        return ()
     closed = model.mode == SYMMETRIC
     # Each nonidentity edge reads a signed column, from 1: f -> c and, in a
     # closed model, f~ -> -c.  An identity reads 0 and adds nothing to a row.
     column: dict[str, int] = {}
-    loops, relations = set(), set()
+    relations = set()
     cols = 0
     for name in model.nonidentity_edges():
         if name in column:
@@ -440,26 +463,12 @@ def abelian_suspects(model: TruncatedModel) -> tuple[tuple[str, ...], ...]:
         if closed:
             partner = model.edges[name].inv
             if partner == name:
-                loops.add(name)
                 relations.add(((cols, 2),))
             else:
                 column[partner] = -cols
-    rows = set()
-    for f, g, h in model.triangles:
-        x, y, z = column.get(f, 0), column.get(g, 0), -column.get(h, 0)
-        # The six images of a closed triangle read (x, y, z) and (-x, -z, -y),
-        # each rotated, and give one row up to sign.  Of each three rotations
-        # only the one that starts at its least entry is read, and of the two
-        # halves the one whose least entry is the larger in size (both on a
-        # tie).  Images with a self-inverse loop x differ by the row 2x and
-        # are all read.
-        if (closed and not (x <= y and x <= z and x + max(y, z) <= 0)
-                and loops.isdisjoint((f, g, h))):
-            continue
-        rows.add((x, y, z))
-    for signed in rows:
+    for f, g, h in model._orbits:
         row: dict[int, int] = {}
-        for x in signed:
+        for x in (column.get(f, 0), column.get(g, 0), -column.get(h, 0)):
             if x:
                 row[abs(x)] = row.get(abs(x), 0) + (1 if x > 0 else -1)
         rel = tuple(sorted(item for item in row.items() if item[1]))

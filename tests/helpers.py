@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the code paths they check: word values and
 contractibility are recomputed by enumerating one-step contraction
-sequences, products are re-derived from the stored triangles, bounded
+sequences, products are re-derived from the stored triangles, triangle
+tables by closing every written triangle and testing each image, bounded
 scans are read off layers all built in full, triangulations by filtering
 non-crossing diagonal subsets,
 starry membership by enumerating pullbacks of simplices, normal forms by
@@ -230,6 +231,78 @@ def brute_symmetric_laws(model):
             if left.setdefault((f, h), g) != g or right.setdefault((g, h), f) != f:
                 return False
     return True
+
+
+# -- triangle-closure oracles -------------------------------------------------------
+
+
+def closed_orbits(mode, edges, written):
+    """The triangle orbits a model built from ``written`` stores, as a set
+    of frozensets of triangles.
+
+    In a symmetric model whose involution is valid, each written triangle
+    gives all six of its images; elsewhere it gives itself.  Each image is
+    kept unless it is degenerate, tested on its own: id g = g, f id = f
+    or, in symmetric mode, f f~ = id_src(f).
+    """
+    edges = {e.name: e for e in edges}
+    closed = mode == "symmetric" and all(
+        edges[e.inv].inv == name
+        and (edges[e.inv].src, edges[e.inv].tgt) == (e.tgt, e.src)
+        and (e.inv == name or not e.is_identity)
+        and (e.inv != name or e.is_identity or e.src == e.tgt)
+        for name, e in edges.items())
+
+    def degenerate(f, g, h):
+        ef, eg = edges[f], edges[g]
+        return ((ef.is_identity and h == g) or (eg.is_identity and h == f)
+                or (mode == "symmetric" and g == ef.inv and h == IDENTITY_PREFIX + ef.src))
+
+    orbits = set()
+    for t in written:
+        images = orbit_images(tuple(t), lambda e: edges[e].inv) if closed else (tuple(t),)
+        kept = frozenset(i for i in images if not degenerate(*i))
+        if kept:
+            orbits.add(kept)
+    return orbits
+
+
+def assert_closed_as_oracle(mode, objects, edges, written):
+    """Build a model from ``written`` and check that it stores the orbits
+    of :func:`closed_orbits` and keeps one image of each; return it."""
+    edges = list(edges)
+    model = pg.TruncatedModel(mode, objects, edges, written)
+    orbits = closed_orbits(mode, edges, written)
+    assert model.triangles == frozenset().union(*orbits)
+    owners = [orbit for t in model._orbits for orbit in orbits if t in orbit]
+    assert len(owners) == len(model._orbits) == len(orbits)
+    assert set(owners) == orbits
+    return model
+
+
+def written_variants(model):
+    """Triangle lists that build ``model`` again: its stored triangles, and
+    one image of each orbit beside a degenerate triangle on every
+    nonidentity edge (id f = f and, in symmetric mode where f~ runs back
+    along f, f f~ = id)."""
+    degenerate = []
+    for e in model.edges.values():
+        if not e.is_identity:
+            degenerate.append((IDENTITY_PREFIX + e.src, e.name, e.name))
+            partner = model.edges.get(e.inv)
+            if partner is not None and (partner.src, partner.tgt) == (e.tgt, e.src):
+                degenerate.append((e.name, e.inv, IDENTITY_PREFIX + e.src))
+    return [sorted(model.triangles), list(model.triangle_orbits()) + degenerate]
+
+
+def all_image_orbits(model):
+    """``TruncatedModel.triangle_orbits`` as it was defined before the model
+    kept its orbits: the least image, by ``word_sort_key``, of each stored
+    triangle, sorted (the stored triangles themselves in simplicial mode)."""
+    if model.mode != "symmetric":
+        return tuple(sorted(model.triangles))
+    return tuple(sorted({min(orbit_images(t, model.inv), key=word_sort_key)
+                         for t in model.triangles}))
 
 
 # -- product-table oracle -----------------------------------------------------------

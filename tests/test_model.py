@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 import pgroupoid as pg
 from pgroupoid.model import orbit_images
 
-from helpers import (MODEL_FIXTURES, SUB_NERVE_GROUPOIDS, brute_products,
-                     brute_symmetric_laws, example1_symmetric, groupoid_pool,
-                     horn_symmetric, load, sub_nerve)
+from helpers import (MODEL_FIXTURES, SUB_NERVE_GROUPOIDS, assert_closed_as_oracle,
+                     brute_products, brute_symmetric_laws, example1_symmetric,
+                     groupoid_pool, horn_symmetric, load, sub_nerve, written_variants)
 
 
 def test_example1_fixture_validates():
@@ -205,10 +205,10 @@ def _triples(edges):
 
 
 @st.composite
-def _raw_edge_pairs_model(draw):
+def _raw_edge_pairs_input(draw):
     """1-3 objects, 1-4 edge pairs (self-inverse loops among them) and 1-6
     raw triangles, degenerate, colliding and identity-containing ones
-    included."""
+    included, as constructor arguments."""
     objects = [str(i) for i in range(draw(st.integers(1, 3)))]
     pairs, self_inverse = [], []
     for i in range(draw(st.integers(1, 4))):
@@ -219,16 +219,17 @@ def _raw_edge_pairs_model(draw):
     shell = pg.TruncatedModel.symmetric(objects, pairs, (), self_inverse)
     triples = _triples(shell.edges.values())
     triangles = draw(st.lists(st.sampled_from(triples), min_size=1, max_size=6))
-    return pg.TruncatedModel.symmetric(objects, pairs, triangles, self_inverse)
+    return "symmetric", objects, list(shell.edges.values()), triangles
 
 
 _NERVES = tuple(pg.nerve_truncation(g) for g in SUB_NERVE_GROUPOIDS)
 
 
 @st.composite
-def _sub_nerve_model(draw):
+def _sub_nerve_input(draw):
     """Some edge pairs of a small groupoid's nerve with up to 6 of its
-    triangles, unclosed, which never collide, and up to 2 raw ones."""
+    triangles, unclosed, which never collide, and up to 2 raw ones, as
+    constructor arguments."""
     nerve = draw(st.sampled_from(_NERVES))
     kept = {}
     for name in sorted(nerve.edges):
@@ -240,7 +241,17 @@ def _sub_nerve_model(draw):
     lawful = [t for t in sorted(nerve.triangles) if all(kept[e] for e in t)]
     if lawful:
         triangles += draw(st.lists(st.sampled_from(lawful), max_size=6))
-    return pg.TruncatedModel("symmetric", nerve.objects, edges, triangles)
+    return "symmetric", nerve.objects, edges, triangles
+
+
+@st.composite
+def _drawn_sub_nerve_input(draw):
+    """A ``sub_nerve`` draw, written as one image of each orbit beside a
+    degenerate triangle on every nonidentity edge."""
+    nerve = draw(st.sampled_from(_NERVES))
+    model = sub_nerve(nerve, random.Random(draw(st.integers(0, 2**32))),
+                      draw(st.floats(0.5, 1.0)), draw(st.floats(0.2, 1.0)))
+    return "symmetric", model.objects, model.edges.values(), written_variants(model)[1]
 
 
 def _assert_one_table(model):
@@ -258,12 +269,14 @@ def _assert_one_table(model):
             (f, g) for f, g, k in model.triangles if k == h == products[(f, g)]))
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(_raw_edge_pairs_model(), _sub_nerve_model()))
-def test_validate_agrees_with_brute_force_laws(model):
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_raw_edge_pairs_input(), _sub_nerve_input(), _drawn_sub_nerve_input()))
+def test_validate_agrees_with_brute_force_laws(written):
     # validate checks the involution and spininess only; orbit closure and
-    # two-sided cancellation must follow from the constructor's closure;
+    # two-sided cancellation must follow from the constructor's closure,
+    # which closes each written orbit as the image-by-image oracle does;
     # valid or not, the product table answers as the stored triangles say
+    model = assert_closed_as_oracle(*written)
     assert model.validate().ok == brute_symmetric_laws(model)
     _assert_one_table(model)
 

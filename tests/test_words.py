@@ -14,6 +14,8 @@ from helpers import (
     MODEL_FIXTURES,
     SUB_NERVE_GROUPOIDS,
     all_composable_words,
+    all_image_orbits,
+    assert_closed_as_oracle,
     brute_abelian_classes,
     brute_contracts_to,
     brute_values,
@@ -27,6 +29,7 @@ from helpers import (
     stabilized_merge,
     sub_nerve,
     symmetric_group_3,
+    written_variants,
 )
 
 
@@ -684,6 +687,8 @@ def test_guided_scan_matches_the_plain_scan_on_sub_nerves(which, seed, edge_p, t
     model = sub_nerve(pg.nerve_truncation(CERTIFIED_GROUPOIDS[which]),
                       random.Random(seed), edge_p, tri_p)
     _check_guided_scan(model)
+    _check_guided_scan(pg.TruncatedModel(model.mode, model.objects,
+                                         list(model.edges.values()), ()))
     _check_guided_scan(oriented_half(model))
     _check_guided_scan(model_union(model, gluing), 5)
 
@@ -708,10 +713,10 @@ def _one_object(*triangles):
 
 
 def test_abelian_suspects_reads_one_row_of_every_triangle_orbit():
-    # A closed table gives one row per orbit, read off one image.  In
-    # (b, a, b) the row cancels down to a, and both halves of the orbit
-    # start at their least entry in the same size; the images of
-    # (a, a^, x) hold the self-inverse loop x and differ by the row 2x.
+    # A closed table gives one row per orbit, read off the one image the
+    # model keeps.  In (b, a, b) the row cancels down to a; the images of
+    # (a, a^, x) hold the self-inverse loop x and differ by the row 2x,
+    # which the loop's own row covers.
     # Each spine (b^, b) and (a, a^) has two products here, so neither
     # model validates, but neither has an involution fault.
     for triangle, expected in ((("b", "a", "b"), (("1@o", "a", "a^"),)),
@@ -721,14 +726,18 @@ def test_abelian_suspects_reads_one_row_of_every_triangle_orbit():
         assert pg.abelian_suspects(model) == expected == brute_abelian_classes(model)
 
 
-def test_involution_faults_are_refused():
-    # e0 and e1 both name e2 as their partner, whose partner is e0, so the
-    # degenerate product e1·e2 is 1@a, which does not end where e2 does, and
-    # (e0, e1, e2) has the values e0 and e2, which are not parallel
+def _involution_fault_model():
+    """e0 and e1 both name e2 as their partner, whose partner is e0."""
     edges = [pg.Edge(f"1@{o}", o, o, inv=f"1@{o}", is_identity=True) for o in "abc"]
     edges += [pg.Edge("e0", "c", "a", inv="e2"), pg.Edge("e1", "a", "c", inv="e2"),
               pg.Edge("e2", "c", "b", inv="e0")]
-    model = pg.TruncatedModel("symmetric", ["a", "b", "c"], edges, [("e0", "e1", "1@c")])
+    return pg.TruncatedModel("symmetric", ["a", "b", "c"], edges, [("e0", "e1", "1@c")])
+
+
+def test_involution_faults_are_refused():
+    # the degenerate product e1·e2 is 1@a, which does not end where e2 does,
+    # and (e0, e1, e2) has the values e0 and e2, which are not parallel
+    model = _involution_fault_model()
     assert not model.validate().ok
     assert pg.values(model, ("e0", "e1", "e2")) == {"e0", "e2"}
     for call in (lambda: pg.abelian_suspects(model), lambda: pg.mean_scan(model, 3),
@@ -777,6 +786,66 @@ def test_calls_on_one_model_answer_as_on_fresh_models():
             calls = [lambda m: pg.mountain(m, f, g, 5)] + calls + [lambda m: pg.mountain(m, f, g, 5)]
         for call in calls:
             assert call(model) == call(pg.parse_pgd(pg.emit_pgd(model)))
+
+
+# -- triangle orbits -------------------------------------------------------------------
+
+
+def _orbit_models():
+    """The fixtures and their symmetrizations, the groupoid nerves and every
+    NA and A gluing at n = 3..5."""
+    models = [load(name) for name in MODEL_FIXTURES]
+    models += [pg.symmetrize(m) for m in models if m.mode == pg.model.SIMPLICIAL]
+    models += [pg.nerve_truncation(cat) for cat in groupoid_pool()]
+    return models + list(_gluings(5))
+
+
+def _quotients(monkeypatch, models, bound):
+    """The constructor arguments of every quotient ``reflect_bounded`` builds
+    on ``models``, and the reflections."""
+    built, real = [], pg.words.TruncatedModel
+
+    def recording(mode, objects, edges, triangles):
+        built.append((mode, objects, list(edges), list(triangles)))
+        return real(mode, objects, edges, triangles)
+
+    monkeypatch.setattr(pg.words, "TruncatedModel", recording)
+    reflected = [pg.reflect_bounded(model, bound).model for model in models]
+    monkeypatch.undo()
+    return built, reflected
+
+
+def test_constructor_closes_each_orbit_once(monkeypatch):
+    # Each written orbit is closed once and tested for degeneracy as a
+    # whole; the oracle closes every written triangle and tests each image.
+    models = _orbit_models()
+    models += [_one_object(("b", "a", "b")), _one_object(("a", "a^", "x"))]
+    for model in models:
+        for written in written_variants(model):
+            assert_closed_as_oracle(model.mode, model.objects, model.edges.values(), written)
+    # a broken involution closes nothing: each written triangle is its own orbit
+    fault = _involution_fault_model()
+    written = [("e0", "e1", "1@c"), ("e1", "e0", "1@a"), ("1@c", "e0", "e0")]
+    assert assert_closed_as_oracle(fault.mode, fault.objects, fault.edges.values(),
+                                   written)._orbits == (("e0", "e1", "1@c"), ("e1", "e0", "1@a"))
+    # each quotient writes all six images of every orbit
+    built = _quotients(monkeypatch, [m for _, m in _na_gluings(4)], 4)[0]
+    assert built
+    for args in built:
+        assert_closed_as_oracle(*args)
+
+
+def test_triangle_orbits_match_the_all_image_oracle(monkeypatch):
+    # One least image per kept orbit gives the orbits, and the PGD text,
+    # that the least image of every stored triangle gave.
+    models = _orbit_models()
+    models += _quotients(monkeypatch, [m for _, m in _na_gluings(4)], 4)[1]
+    texts = []
+    for model in models:
+        assert model.triangle_orbits() == all_image_orbits(model)
+        texts.append(pg.emit_pgd(model))
+    monkeypatch.setattr(pg.TruncatedModel, "triangle_orbits", all_image_orbits)
+    assert [pg.emit_pgd(model) for model in models] == texts
 
 
 # -- mountains ---------------------------------------------------------------------
