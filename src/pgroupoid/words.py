@@ -136,7 +136,7 @@ def is_mean(model: TruncatedModel, word) -> bool:
 
 
 class ValueTable:
-    """The valued words of each length up to ``bound``, read class by class.
+    """The valued words of each length, read class by class.
 
     Letters are the nonidentity edges (an identity letter never changes a
     value set), and a word is packed into one int, ``bits`` bits per
@@ -158,22 +158,18 @@ class ValueTable:
     values of one word, and a word with two values has all of them in one
     class, so :meth:`layer` builds at each length only the sets of the
     values of each class that reaches two or more values there, and the
-    sets they are built from.  A word lies in one connected component with
-    all of its values, so only the letters of the components that hold a
-    class are seeded; a table with no class joins no word.
+    factor sets that the demand walk of :meth:`_fill` reaches from them.
+    A product v1·v2 = h lies in one connected component, so every set
+    built lies in a component that holds a class; the keys cover every
+    component, so exhaustion stays exact.
     """
 
-    def __init__(self, model: TruncatedModel, bound: int,
-                 classes: tuple[tuple[str, ...], ...] = ()):
-        self.model = model
-        self.bound = bound
+    def __init__(self, model: TruncatedModel, classes: tuple[tuple[str, ...], ...]):
         self.classes = classes
         self.letters = model.nonidentity_edges()
         self.bits = max(1, (len(self.letters) - 1).bit_length())
-        live = _live_edges(model, classes)
         self.keys = [set(), set(self.letters)]
-        self.sets = [{}, {e: {i} if e in live else set()
-                          for i, e in enumerate(self.letters)}]
+        self.sets = [{}, {e: {i} for i, e in enumerate(self.letters)}]
         self._to: dict[str, list[tuple[str, str]]] = {}
         for v1 in model.edges:
             for v2, h in model.products_from(v1).items():
@@ -183,8 +179,6 @@ class ValueTable:
     def layer(self, length: int) -> set[int]:
         """The words of the sets of :meth:`kept` at ``length``, built first
         with the keys of every length up to it."""
-        if length > self.bound:
-            raise WordError(f"layer {length} lies beyond the table's bound {self.bound}")
         while len(self.keys) <= length:
             self._key_next()
         kept = self.kept(length)
@@ -272,23 +266,6 @@ class ValueTable:
         return self._exhausted and not any(self.keys[length + 1:])
 
 
-def _live_edges(model: TruncatedModel, classes) -> set[str]:
-    """The edges whose connected component holds one of the ``classes``."""
-    root = {o: o for o in model.objects}
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for e in model.edges.values():
-        root[find(e.src)] = find(e.tgt)
-    component = {o: find(o) for o in model.objects}
-    live = {component[model.edges[c[0]].src] for c in classes}
-    return {name for name, e in model.edges.items() if component[e.src] in live}
-
-
 # -- mean/kind scan ------------------------------------------------------------
 
 
@@ -338,7 +315,7 @@ def _scan(model: TruncatedModel, max_len: int, classes: tuple[tuple[str, ...], .
     mirrored = _mirrored(model, classes)
     dropped = {tuple(sorted(map(model.inv, c))) for c in mirrored}
     flip = set(chain.from_iterable(mirrored))
-    table = ValueTable(model, max_len, tuple(c for c in classes if c not in dropped))
+    table = ValueTable(model, tuple(c for c in classes if c not in dropped))
     witness, witness_values, count, sad = None, (), 0, set()
     for length in range(2, max_len + 1):
         layer = table.layer(length)

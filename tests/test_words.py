@@ -203,8 +203,7 @@ def test_value_table_layers_match_brute_force(name, make):
     # one class of every edge makes the table build the set of every value
     # that a length reaches, whenever it reaches two
     every = tuple(sorted(model.edges))
-    seeded = _seeded_edges(model, (every,))
-    table = ValueTable(model, 6, (every,))
+    table = ValueTable(model, (every,))
     for length in range(1, 7):
         layer = full.layer(length)
         assert len(layer) == len(brute[length])
@@ -221,15 +220,14 @@ def test_value_table_layers_match_brute_force(name, make):
             assert table.keys[length] == by_value.keys()
             built = {v: {table.decode(w, length) for w in ws}
                      for v, ws in table.sets[length].items()}
-            expected = {v: ws if v in seeded else set() for v, ws in by_value.items()}
-            assert built == (expected if len(expected) > 1 else {})
+            assert built == (by_value if len(by_value) > 1 else {})
             assert {table.decode(w, length) for w in words} == set().union(*built.values())
 
 
 def test_value_table_example1_sizes_and_exhaustion():
     model = load("example1.pgd")
     assert [len(FullLayers(model, 7).layer(L)) for L in range(1, 8)] == [13, 8, 2, 0, 0, 0, 0]
-    table = ValueTable(model, 7, _parallel_classes(model))
+    table = ValueTable(model, _parallel_classes(model))
     exhausted = []
     for length in range(1, 8):
         table.layer(length)
@@ -241,7 +239,7 @@ def test_value_table_example1_sizes_and_exhaustion():
 
 def test_exhausted_at_answers_for_the_length_asked():
     model = load("example1.pgd")
-    table = ValueTable(model, 7, _parallel_classes(model))
+    table = ValueTable(model, _parallel_classes(model))
     table.layer(5)
     # layers 4 and 5 are empty, but no dyadic window is closed yet
     assert not any(table.exhausted_at(length) for length in range(1, 6))
@@ -464,18 +462,20 @@ def _full_exhaustion(model, max_len):
     return [(L, len(full.layer(L)), full.exhausted_at(L)) for L in range(2, max_len + 1)]
 
 
-def _check_table_reads(table, seen, full, seeded):
+def _check_table_reads(table, seen, full, scope):
     """What a scan's table built against the full build ``full``: keys
     equal at every length the scan reached; every set built is the full
-    build's in a seeded component and empty elsewhere; the sets read at a
-    length are those of each filled class that reaches two values there,
-    and the words returned are their union."""
+    build's, and above length 1 its value lies in ``scope``, the edges of
+    the components that hold a class; the sets read at a length are those
+    of each filled class that reaches two values there, and the words
+    returned are their union."""
     reached = seen[-1][0]
     assert len(table.keys) == reached + 1
     for length in range(1, reached + 1):
         assert table.keys[length] == full.by_value[length].keys()
         for v, words in table.sets[length].items():
-            assert words == (full.by_value[length][v] if v in seeded else set())
+            assert words == full.by_value[length][v]
+            assert length == 1 or v in scope
     for length, words, index, _ in seen:
         assert index.keys() == _class_values_reached(full.by_value[length], table.classes)
         assert words == set().union(*index.values())
@@ -517,14 +517,12 @@ def test_exhaustion_closes_on_the_last_layer():
         full = _full_exhaustion(model, 7)
         assert [size > 0 for _, size, _ in full] == [True, True] + [False] * 4
         assert [e for _, _, e in full] == [False] * 5 + [True]
-        table = ValueTable(model, 7, ())
+        table = ValueTable(model, ())
         table.layer(7)
         assert table.exhausted_at(7) and not table.keys[7]
     # a layer at the bound that keeps nothing is not an empty layer
-    table = ValueTable(load("a_square.pgd"), 7, ())
+    table = ValueTable(load("a_square.pgd"), ())
     assert not table.layer(7) and not table.exhausted_at(7)
-    with pytest.raises(pg.WordError):
-        table.layer(8)
 
 
 @pytest.mark.parametrize("model", [load("a_square.pgd"), horn_symmetric(),
@@ -546,7 +544,7 @@ def test_models_without_parallel_edges_build_no_word(monkeypatch, model):
 
 
 def _layer_at_the_bound(model, bound, classes):
-    table = ValueTable(model, bound, classes)
+    table = ValueTable(model, classes)
     table.layer(bound)
     return table.sets[bound]
 
