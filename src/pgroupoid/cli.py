@@ -156,8 +156,8 @@ def cmd_pairs(args):
                 "flip_adjacent": polygon.flip_adjacent(t, t2),
             }
             if cls != polygon.INCOMPATIBLE:
-                row["has_cone"] = _degree.has_cone(t, t2)
-                row["degree"] = _degree.degree_na(t, t2)
+                degree = _degree.degree_na(t, t2)
+                row.update(has_cone=degree == 3, degree=degree)
             print(json.dumps(row))
     return EXIT_OK
 

@@ -121,13 +121,14 @@ class ValidationReport(Record):
 class TruncatedModel:
     """A finite partial groupoid (or edgy simplicial set) at truncation level 2.
 
-    A model is immutable after construction.  Its product table is built by
-    the constructor; its sorted nonidentity edges and its products-to table
-    are built on first use and kept.  A symmetric table with a valid
-    involution is closed one orbit at a time, each orbit once however many
-    of its images are written, and ``_orbits`` keeps one image of each
-    stored orbit (each stored triangle in simplicial mode or with
-    involution faults, where nothing is closed).
+    A model is immutable after construction.  The constructor builds its
+    product table and, in the same pass, ``_spine_faults``, the stored
+    triangles that break spininess; its sorted nonidentity edges and its
+    products-to table are built on first use and kept.  A symmetric table
+    with a valid involution is closed one orbit at a time, each orbit once
+    however many of its images are written, and ``_orbits`` keeps one
+    image of each stored orbit (each stored triangle in simplicial mode or
+    with involution faults, where nothing is closed).
     """
 
     def __init__(self, mode, objects, edges, triangles):
@@ -339,13 +340,20 @@ class TruncatedModel:
     def _build_product_tables(self):
         """The product table: one row ``{g: h}`` per left factor ``f``.
 
-        Stored spines go in first, in sorted order, so a spine with two
-        long edges keeps the least one (collisions surface in validate());
+        Stored spines go in first, in sorted order, so a spine keeps its
+        least long edge and a triangle on a degenerate spine, or on one
+        with a lesser long edge, is a spine fault paired with that product;
         the degenerate products follow and never displace a stored one.
         """
         rows = {name: {} for name in self.edges}
-        for f, g, h in sorted(self.triangles):
-            rows[f].setdefault(g, h)
+        faults = []
+        for t in sorted(self.triangles):
+            f, g, h = t
+            least = rows[f].setdefault(g, h)
+            product = self._degenerate_value(f, g)
+            if product or least != h:
+                faults.append((t, product or least))
+        self._spine_faults = tuple(faults)
         for name, e in self.edges.items():
             row = rows[name]
             if e.is_identity:
@@ -360,14 +368,14 @@ class TruncatedModel:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check the involution and spininess.
+        """Report the involution and spine faults the constructor found.
 
         On a closed table spininess implies two-sided cancellation: a fault
         ``mult(f, g) = mult(f, g') = h`` puts the two products g and g' on
         the spine ``(f~, h)`` of the orbit images.
         """
         violations = list(self._involution_faults)
-        for t, product in self._spine_faults():
+        for t, product in self._spine_faults:
             f, g, h = t
             if self._degenerate_value(f, g) is None:
                 violations.append(Violation(
@@ -383,21 +391,6 @@ class TruncatedModel:
                     witness=(t,),
                 ))
         return ValidationReport(not violations, violations)
-
-    def _spine_faults(self):
-        """Stored triangles whose spine is degenerate or already has another
-        product, in sorted order, each with that product.
-
-        The product is the degenerate value, or else the spine's least
-        stored long edge (the one ``mult`` returns).
-        """
-        for t in sorted(self.triangles):
-            f, g, h = t
-            product = self._degenerate_value(f, g)
-            if product is None and self._rows[f][g] != h:
-                product = self._rows[f][g]
-            if product is not None:
-                yield t, product
 
     # -- equality / rendering ---------------------------------------------------
 

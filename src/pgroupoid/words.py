@@ -351,13 +351,13 @@ def _mirrored(model: TruncatedModel, classes) -> tuple[tuple[str, ...], ...]:
     """The classes C whose inverse class inv(C), the sorted inverses of C,
     is listed too and greater than C.
 
-    On a symmetric model whose stored spines have one product each, the
-    product table is closed under (f, g, h) -> (g~, f~, h~), degenerate
-    products included, so every parenthesization of a word w reads
-    backwards as one of its inverse: the values of w~ are the inverses of
-    the values of w.  Elsewhere no class is mirrored.
+    On a symmetric model with no spine fault, the product table is closed
+    under (f, g, h) -> (g~, f~, h~), degenerate products included, so every
+    parenthesization of a word w reads backwards as one of its inverse:
+    the values of w~ are the inverses of the values of w.  Elsewhere no
+    class is mirrored.
     """
-    if model.mode != SYMMETRIC or len({t[:2] for t in model.triangles}) < len(model.triangles):
+    if model.mode != SYMMETRIC or model._spine_faults:
         return ()
     listed = set(classes)
     return tuple(c for c in classes
@@ -824,13 +824,11 @@ def _merge_parallel_edges(model, names):
         union_pair(base[0], other)
     # A spine with two products is a length-2 mean word, so its products
     # merge too; repeat until the quotient has no such spine.
-    while True:
+    merged, rename = _quotient(model, find)
+    while merged._spine_faults:
+        for t, product in merged._spine_faults:
+            union_pair(t[2], product)
         merged, rename = _quotient(model, find)
-        faults = [(t[2], product) for t, product in merged._spine_faults()]
-        if not faults:
-            break
-        for h, product in faults:
-            union_pair(h, product)
     report = merged.validate()
     if not report.ok:
         raise WordError(f"merge left an invalid model: {report.summary()}")

@@ -2,10 +2,10 @@
 
 The oracles deliberately avoid the code paths they check: word values and
 contractibility are recomputed by enumerating one-step contraction
-sequences, products are re-derived from the stored triangles, triangle
-tables by closing every written triangle and testing each image, bounded
-scans are read off layers all built in full, triangulations by filtering
-non-crossing diagonal subsets,
+sequences, products and spine faults are re-derived from the stored
+triangles, triangle tables by closing every written triangle and testing
+each image, bounded scans are read off layers all built in full,
+triangulations by filtering non-crossing diagonal subsets,
 starry membership by enumerating pullbacks of simplices, normal forms by
 rewriting in random order, reflection merges by re-deriving degenerate
 products on class names, peeled maps by renaming edges, and categories
@@ -335,6 +335,33 @@ def brute_products(model):
             elif model.mode == "symmetric" and g == ef.inv:
                 products[(f, g)] = IDENTITY_PREFIX + ef.src
     return products
+
+
+def brute_spine_faults(model):
+    """The stored triangles that break spininess, in sorted order, each with
+    the product its spine takes instead.
+
+    A triangle on a degenerate spine (id g = g, f id = f or, in symmetric
+    mode, f f~ = id_src(f)) takes the degenerate value; any other takes
+    the spine's least stored long edge, from :func:`brute_products`, and
+    is a fault when that is another edge.
+    """
+    edges, products = model.edges, brute_products(model)
+    faults = []
+    for t in sorted(model.triangles):
+        f, g, h = t
+        if edges[f].is_identity:
+            product = g
+        elif edges[g].is_identity:
+            product = f
+        elif model.mode == "symmetric" and g == edges[f].inv:
+            product = IDENTITY_PREFIX + edges[f].src
+        elif products[(f, g)] != h:
+            product = products[(f, g)]
+        else:
+            continue
+        faults.append((t, product))
+    return tuple(faults)
 
 
 # -- starry-membership oracle -------------------------------------------------------

@@ -18,6 +18,7 @@ from helpers import (
     assert_closed_as_oracle,
     brute_abelian_classes,
     brute_contracts_to,
+    brute_spine_faults,
     brute_values,
     example1_symmetric,
     groupoid_pool,
@@ -630,12 +631,85 @@ def test_spine_faults_turn_the_mirror_off(monkeypatch):
     assert classes == (("lT", "lT'"), ("lT'^", "lT^"))
     _, table = _scan_layers(monkeypatch, lambda: pg.mean_scan(model, 4, collect_all=True))
     assert table.classes == classes
-    full = FullScan(model, 4)
-    for bound in (2, 3, 4):
+    _assert_scan_is_full_scan(model, 4)
+    # a degenerate spine alone turns it off too: (lT, 1@0) stores lT' besides
+    # its degenerate product lT, and no spine has two long edges
+    model = _reversed_square("tri lT 1@0 lT'\n")
+    faults = model._spine_faults
+    assert faults and all(model._degenerate_value(*t[:2]) for t, _ in faults)
+    assert len({t[:2] for t in model.triangles}) == len(model.triangles)
+    assert pg.abelian_suspects(model) == classes
+    _, table = _scan_layers(monkeypatch, lambda: pg.mean_scan(model, 4, collect_all=True))
+    assert table.classes == classes
+    _assert_scan_is_full_scan(model, 4)
+
+
+def _assert_scan_is_full_scan(model, max_len):
+    full = FullScan(model, max_len)
+    for bound in range(2, max_len + 1):
         for collect_all in (False, True):
             scan = pg.mean_scan(model, bound, collect_all=collect_all)
             got = (scan.witness, scan.witness_values, scan.sad_edges, scan.mean_word_count)
             assert got == full.mean_scan(bound, collect_all)
+
+
+# -- spine faults ----------------------------------------------------------------------
+
+
+def _with_degenerate_collision(model):
+    """``model`` with a line ``tri f 1@b e`` for its first edge f: a -> b
+    with a parallel partner e, a triangle that collides with the degenerate
+    product f; None where no edge has a parallel partner."""
+    for f in model.nonidentity_edges():
+        ends = (model.edge(f).src, model.edge(f).tgt)
+        for e in model.nonidentity_edges():
+            if e != f and (model.edge(e).src, model.edge(e).tgt) == ends:
+                text = pg.emit_pgd(model) + f"tri {f} 1@{ends[1]} {e}\n"
+                return pg.parse_pgd(text, check=False)
+    return None
+
+
+def _fault_violations(model, faults):
+    """validate's spine-collision lines, formatted from ``faults``."""
+    lines = []
+    for t, product in faults:
+        f, g, h = t
+        if model._degenerate_value(f, g) is None:
+            lines.append(("spine-collision", f"spine ({f},{g}) has two long edges "
+                          f"{product} and {h}", ((f, g, product), t)))
+        else:
+            lines.append(("spine-collision", f"triangle ({f},{g},{h}) collides with the "
+                          f"degenerate spine ({f},{g}) -> {product}", (t,)))
+    return lines
+
+
+def test_spine_faults_match_the_oracle(monkeypatch):
+    # The faults the product table records are those the oracle re-derives
+    # from the stored triangles, degenerate spines included, and validate
+    # reports them after the involution faults in the same words.
+    models = [load(name) for name in MODEL_FIXTURES]
+    models += [pg.symmetrize(m) for m in models if m.mode == pg.model.SIMPLICIAL]
+    models += [m for m in map(_with_degenerate_collision, models) if m is not None]
+    for n in (3, 4, 5):
+        tris = pg.enumerate_triangulations(n)
+        models += [pg.build_raw_gluing(t, t2, circular=circular)
+                   for t in tris for t2 in tris for circular in (False, True)]
+    models += [_reversed_square("tri dT_02 s3 lT'^\n"), _reversed_square("tri lT 1@0 lT'\n")]
+    built = _quotients(monkeypatch, [m for _, m in _na_gluings(5)], 5)[0]
+    models += [pg.TruncatedModel(*args) for args in built]
+    kinds = set()
+    for model in models:
+        faults = brute_spine_faults(model)
+        assert model._spine_faults == faults
+        report = model.validate()
+        got = [(v.kind, v.detail, v.witness) for v in report.violations]
+        involution = [(v.kind, v.detail, v.witness) for v in model._involution_faults]
+        assert got == involution + _fault_violations(model, faults)
+        assert report.ok == (not got)
+        kinds.update(len(v[2]) for v in got[len(involution):])
+    # both kinds of fault occur: degenerate (one witness), two long edges (two)
+    assert kinds == {1, 2}
+    assert any(model._spine_faults for model in models[-len(built):])
 
 
 # -- the abelian certificate -----------------------------------------------------------
